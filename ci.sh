@@ -269,15 +269,14 @@ grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/shard.trace.jsonl" || {
 rm -rf "$MDIR"
 
 echo "== sim-throughput bench smoke (--quick)"
-# The serial-vs-sharded bench must run and emit a schema-valid
-# BENCH_sim.json whose determinism and overhead gates hold (the speedup
-# gate self-waives on single-CPU hosts and is checked by the bench).
+# The 1-vs-8-worker simulator bench must run and emit a schema-valid
+# BENCH_sim.json whose determinism gate holds (the speedup gate
+# self-waives on single-CPU hosts and is checked by the bench).
 WDIR=$(mktemp -d)
 cargo bench --quiet -p cactid-bench --bench sim_throughput -- \
     --quick --out "$WDIR/bench.json" >/dev/null 2>&1
-for KEY in '"schema":"cactid-bench-sim-v1"' '"legacy_cycles_per_sec"' \
-    '"serial_overhead_vs_legacy"' '"sharded_speedup_8w"' \
-    '"sharded_matches_serial":true' '"serial_overhead_ok":true' \
+for KEY in '"schema":"cactid-bench-sim-v2"' '"sharded1_cycles_per_sec"' \
+    '"sharded_speedup_8w"' '"sharded_matches_serial":true' \
     '"sharded_speedup_ok":true'; do
     grep -q "$KEY" "$WDIR/bench.json" || {
         echo "BENCH_sim.json missing key $KEY:" >&2

@@ -36,8 +36,8 @@ pub struct CachedSolve {
 /// A cache instance must not be shared between *different* linter
 /// configurations: the linter participates in the solve but not in the
 /// key. The exploration engine owns a private cache per run (one fixed
-/// linter), and the process-global cache behind [`optimize_cached`] is
-/// always lint-free.
+/// linter), and the process-global [`SolveCache::global`] must only ever
+/// see lint-free solves.
 #[derive(Debug, Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<u64, Vec<(MemorySpec, CachedSolve)>>>,
@@ -49,7 +49,8 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// The process-global cache used by [`optimize_cached`].
+    /// The process-global cache, for callers that want process-wide
+    /// sharing (e.g. `optimize_cached_in(SolveCache::global(), spec)`).
     pub fn global() -> &'static SolveCache {
         static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
         GLOBAL.get_or_init(SolveCache::new)
@@ -147,26 +148,6 @@ pub fn optimize_cached_in(cache: &SolveCache, spec: &MemorySpec) -> Result<Solut
     cache.solve_point(spec, None).0.result
 }
 
-/// [`cactid_core::optimize`] through the process-global memo.
-///
-/// Thin shim over [`optimize_cached_in`] with [`SolveCache::global`];
-/// kept so pre-existing call sites keep compiling and behaving
-/// identically, but new code should take a [`SolveCache`] handle
-/// explicitly — implicit process-global state is impossible to scope,
-/// reset, or share across a service boundary deliberately. No longer
-/// re-exported at the crate root; this shim is slated for removal once
-/// no in-tree caller names it, and is hidden from the rendered docs so
-/// it cannot attract new callers in the meantime.
-///
-/// # Errors
-///
-/// Exactly those of [`cactid_core::optimize`].
-#[doc(hidden)]
-#[deprecated(note = "pass a cache handle: `optimize_cached_in(SolveCache::global(), spec)`")]
-pub fn optimize_cached(spec: &MemorySpec) -> Result<Solution, CactiError> {
-    optimize_cached_in(SolveCache::global(), spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +189,6 @@ mod tests {
         // And the global memo now serves it without re-solving.
         let (_, hit) = SolveCache::global().solve_point(&s, None);
         assert!(hit);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_global_shim_still_routes_through_the_global_memo() {
-        let s = spec(256 << 10);
-        let via_shim = optimize_cached(&s).unwrap();
-        assert_eq!(
-            via_shim,
-            optimize_cached_in(SolveCache::global(), &s).unwrap()
-        );
-        let (_, hit) = SolveCache::global().solve_point(&s, None);
-        assert!(hit, "the shim populated the global cache");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod registry;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{quantile_from_buckets, Counter, Histogram};
+pub use metrics::{observed_quantile, quantile_from_buckets, Counter, Histogram};
 pub use registry::{
     counter, histogram, reset, snapshot, CounterSnapshot, HistogramSnapshot, Snapshot,
 };

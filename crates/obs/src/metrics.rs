@@ -53,7 +53,7 @@ impl Counter {
 pub const BUCKETS: usize = 32;
 
 /// A fixed-footprint distribution: 32 power-of-two buckets plus
-/// count/sum/max.
+/// count/sum/min/max.
 ///
 /// Bucket `0` holds zero-valued samples; bucket `i ≥ 1` holds samples in
 /// `[2^(i-1), 2^i)`; the last bucket absorbs everything at or above
@@ -63,6 +63,8 @@ pub const BUCKETS: usize = 32;
 pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
+    /// `u64::MAX` while empty, so the first sample always lowers it.
+    min: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
 }
@@ -118,6 +120,18 @@ pub fn quantile_from_buckets(buckets: &[u64; BUCKETS], count: u64, q: f64) -> f6
         .map_or(0.0, |i| (1u64 << i.min(63)) as f64)
 }
 
+/// [`quantile_from_buckets`] clamped to the observed `[min, max]`: a
+/// bucket estimate can overshoot the largest sample by up to an octave
+/// (one 294 ms sample alone would report p50 ≈ 537 ms), so reported
+/// quantiles never leave the range the samples actually span. An empty
+/// distribution estimates as `0.0`.
+pub fn observed_quantile(buckets: &[u64; BUCKETS], count: u64, min: u64, max: u64, q: f64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    quantile_from_buckets(buckets, count, q).clamp(min as f64, max.max(min) as f64)
+}
+
 impl Histogram {
     /// An empty histogram.
     pub const fn new() -> Histogram {
@@ -127,6 +141,7 @@ impl Histogram {
         Histogram {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
             buckets: [ZERO; BUCKETS],
         }
@@ -137,6 +152,7 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
@@ -149,6 +165,14 @@ impl Histogram {
     /// Sum of all samples.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Smallest sample seen (0 when empty).
+    pub fn min(&self) -> u64 {
+        match self.min.load(Ordering::Relaxed) {
+            u64::MAX if self.count() == 0 => 0,
+            v => v,
+        }
     }
 
     /// Largest sample seen (0 when empty).
@@ -165,10 +189,10 @@ impl Histogram {
         self.sum() as f64 / n as f64
     }
 
-    /// Estimated `q`-quantile of the recorded samples (0.0 when empty).
-    /// See [`quantile_from_buckets`] for the estimation contract.
+    /// Estimated `q`-quantile of the recorded samples (0.0 when empty),
+    /// never outside `[min, max]`. See [`observed_quantile`].
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_buckets(&self.buckets(), self.count(), q)
+        observed_quantile(&self.buckets(), self.count(), self.min(), self.max(), q)
     }
 
     /// The per-bucket sample counts.
@@ -184,6 +208,7 @@ impl Histogram {
     pub fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -288,6 +313,33 @@ mod tests {
         let q100 = quantile_from_buckets(&buckets, 4, 1.0);
         assert_eq!(q25, 1280.0, "rank 1 of 4 → lo + 1/4 of the bucket");
         assert_eq!(q100, 2048.0, "rank 4 of 4 → bucket top");
+    }
+
+    #[test]
+    fn single_sample_quantiles_equal_the_sample() {
+        // Regression: one 294 ms sample used to report p50 ≈ 537 ms, the
+        // interpolated middle of its [268 ms, 537 ms) octave.
+        let h = Histogram::new();
+        h.record(294_000_000);
+        assert_eq!(h.min(), 294_000_000);
+        assert_eq!(h.max(), 294_000_000);
+        assert_eq!(h.quantile(0.5), 294_000_000.0);
+        assert_eq!(h.quantile(0.99), 294_000_000.0);
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_observed_range() {
+        let h = Histogram::new();
+        for v in [700, 800, 900] {
+            h.record(v); // all in bucket 10: [512, 1024)
+        }
+        assert_eq!(h.min(), 700);
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+            let v = h.quantile(q);
+            assert!((700.0..=900.0).contains(&v), "q{q} estimate {v}");
+        }
+        h.reset();
+        assert_eq!(h.min(), 0, "an empty histogram reports min 0");
     }
 
     #[test]

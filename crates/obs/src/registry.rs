@@ -68,6 +68,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all samples.
     pub sum: u64,
+    /// Smallest sample (0 when empty).
+    pub min: u64,
     /// Largest sample.
     pub max: u64,
     /// Power-of-two bucket counts (see [`crate::Histogram`]).
@@ -84,9 +86,10 @@ impl HistogramSnapshot {
     }
 
     /// Estimated `q`-quantile of the snapshotted distribution (0.0 when
-    /// empty). See [`crate::metrics::quantile_from_buckets`].
+    /// empty), never outside `[min, max]`. See
+    /// [`crate::metrics::observed_quantile`].
     pub fn quantile(&self, q: f64) -> f64 {
-        crate::metrics::quantile_from_buckets(&self.buckets, self.count, q)
+        crate::metrics::observed_quantile(&self.buckets, self.count, self.min, self.max, q)
     }
 }
 
@@ -141,6 +144,7 @@ pub fn snapshot() -> Snapshot {
             name: name.clone(),
             count: h.count(),
             sum: h.sum(),
+            min: h.min(),
             max: h.max(),
             buckets: h.buckets(),
         })

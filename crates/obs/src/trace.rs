@@ -3,13 +3,15 @@
 //! The sidecar is a plain-text JSONL file, one object per line:
 //!
 //! ```text
-//! {"type":"meta","version":2,"cmd":"explore","unix_ms":1754460000000}
+//! {"type":"meta","version":3,"cmd":"explore","unix_ms":1754460000000}
 //! {"type":"counter","name":"core.solve.calls","value":4}
-//! {"type":"histogram","name":"span.explore.solve.ns","count":4,"sum":81,"max":40,"mean":20.25,"p50":24,"p90":38,"p99":40,"buckets":[0,...]}
+//! {"type":"histogram","name":"span.explore.solve.ns","count":4,"sum":81,"min":9,"max":40,"mean":20.25,"p50":24,"p90":38,"p99":40,"buckets":[0,...]}
 //! ```
 //!
 //! Version 2 added the `p50`/`p90`/`p99` estimated quantiles (see
 //! [`crate::metrics::quantile_from_buckets`]) to every histogram line.
+//! Version 3 added `min` and clamps every quantile to `[min, max]` (see
+//! [`crate::metrics::observed_quantile`]).
 //!
 //! Wall-clock time appears **only** in the `meta` line; counters and
 //! histograms carry event counts and monotonic-clock durations, never
@@ -56,11 +58,12 @@ fn render_jsonl(snap: &Snapshot) -> String {
         let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
         let _ = writeln!(
             out,
-            "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"max\":{},\
-             \"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
+            "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\
+             \"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
             escape(&h.name),
             h.count,
             h.sum,
+            h.min,
             h.max,
             h.mean(),
             h.quantile(0.50),
@@ -86,7 +89,7 @@ pub fn write_trace(path: &Path, cmd: &str) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     writeln!(
         f,
-        "{{\"type\":\"meta\",\"version\":2,\"cmd\":\"{}\",\"unix_ms\":{unix_ms}}}",
+        "{{\"type\":\"meta\",\"version\":3,\"cmd\":\"{}\",\"unix_ms\":{unix_ms}}}",
         escape(cmd)
     )?;
     f.write_all(render_jsonl(&snap).as_bytes())?;

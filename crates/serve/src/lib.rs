@@ -49,5 +49,5 @@ pub mod store;
 
 pub use error::ServeError;
 pub use protocol::{parse_request, Request};
-pub use service::{ServeConfig, ServeOutcome, Service};
+pub use service::{ServeConfig, ServeOutcome, Service, MAX_REQUEST_LINE_BYTES};
 pub use store::{SolutionStore, STORE_MAGIC};

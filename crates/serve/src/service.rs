@@ -97,6 +97,63 @@ fn error_line(id: u64, msg: &str) -> String {
     o.finish()
 }
 
+/// The longest request line the service reads, newline included. A longer
+/// line is answered in-band with an error as soon as it crosses the cap,
+/// and its remainder is read and dropped through the same bounded buffer,
+/// so a client that never sends a newline cannot grow the service's
+/// memory.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 10;
+
+/// Outcome of one [`read_request_line`].
+#[derive(Clone, Copy)]
+enum LineRead {
+    /// End of input before any byte.
+    Eof,
+    /// A whole line (or a final newline-less fragment) within the cap.
+    Line,
+    /// The line crossed the cap; the buffer holds its first `cap` bytes
+    /// and the rest is still unread.
+    TooLong,
+}
+
+/// Reads one line of at most `cap` bytes into `buf`.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(c) => c,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(if buf.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            });
+        }
+        let (take, done) = chunk
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or((chunk.len(), false), |i| (i + 1, true));
+        let room = cap - buf.len();
+        if take > room {
+            buf.extend_from_slice(&chunk[..room]);
+            reader.consume(room);
+            return Ok(LineRead::TooLong);
+        }
+        buf.extend_from_slice(&chunk[..take]);
+        reader.consume(take);
+        if done {
+            return Ok(LineRead::Line);
+        }
+    }
+}
+
 impl Service {
     /// Builds a service: opens (or creates) the persistent store when
     /// configured, with an empty solve memo.
@@ -218,6 +275,10 @@ impl Service {
     /// after every request, so interactive callers see answers
     /// immediately).
     ///
+    /// A line longer than [`MAX_REQUEST_LINE_BYTES`] or not valid UTF-8 is
+    /// answered with an in-band `{"id":0,"error":...}` line, like any
+    /// other unparsable line, and the loop keeps serving.
+    ///
     /// # Errors
     ///
     /// [`ServeError::Io`] on transport read/write failures. Malformed
@@ -231,16 +292,27 @@ impl Service {
             requests: 0,
             shutdown: false,
         };
-        let mut line = String::new();
+        let read_err = |e: std::io::Error| ServeError::Io(format!("read: {e}"));
+        let mut line = Vec::new();
         loop {
-            line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| ServeError::Io(format!("read: {e}")))?;
-            if n == 0 {
-                break;
-            }
-            let (responses, shutdown) = self.handle_line(&line);
+            let read = read_request_line(&mut reader, &mut line, MAX_REQUEST_LINE_BYTES)
+                .map_err(read_err)?;
+            let (responses, shutdown) = match read {
+                LineRead::Eof => break,
+                LineRead::TooLong => {
+                    cactid_obs::counter!("serve.request.oversize").inc();
+                    let msg =
+                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; skipped");
+                    (vec![error_line(0, &msg)], false)
+                }
+                LineRead::Line => match std::str::from_utf8(&line) {
+                    Ok(text) => self.handle_line(text),
+                    Err(_) => (
+                        vec![error_line(0, "request line is not valid UTF-8")],
+                        false,
+                    ),
+                },
+            };
             if !responses.is_empty() {
                 outcome.requests += 1;
             }
@@ -253,6 +325,14 @@ impl Service {
             if shutdown {
                 outcome.shutdown = true;
                 break;
+            }
+            // Discard the rest of an over-long line, one cap's worth of
+            // buffer at a time, after its error answer is already out.
+            if let LineRead::TooLong = read {
+                while let LineRead::TooLong =
+                    read_request_line(&mut reader, &mut line, MAX_REQUEST_LINE_BYTES)
+                        .map_err(read_err)?
+                {}
             }
         }
         Ok(outcome)
@@ -386,6 +466,65 @@ mod tests {
         assert!(r[0].starts_with("{\"id\":3,\"error\":"));
         let (r, _) = svc.handle_line("garbage");
         assert!(r[0].starts_with("{\"id\":0,\"error\":"));
+    }
+
+    #[test]
+    fn oversize_lines_are_answered_in_band_and_serving_continues() {
+        let svc = memo_only();
+        // A newline-less oversize line followed by end of input: one
+        // error answer, no transport error.
+        let mut input = b"{\"id\":77,\"op\":\"solve\",\"pad\":\"".to_vec();
+        input.resize(3 * MAX_REQUEST_LINE_BYTES, b'x');
+        let mut out = Vec::new();
+        let outcome = svc.run_lines(&input[..], &mut out).unwrap();
+        assert_eq!(outcome.requests, 1);
+        let out = String::from_utf8(out).unwrap();
+        assert!(out.starts_with("{\"id\":0,\"error\":\"request line exceeds"));
+        assert_eq!(out.lines().count(), 1);
+
+        // A client that keeps sending without a newline gets its answer
+        // as soon as the cap is crossed, before the line ever ends (here
+        // the transport then fails instead of ending).
+        struct Broken;
+        impl std::io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::ConnectionReset.into())
+            }
+        }
+        let reader = std::io::BufReader::new(std::io::Read::chain(&input[..], Broken));
+        let mut out = Vec::new();
+        assert!(svc.run_lines(reader, &mut out).is_err());
+        assert!(out.starts_with(b"{\"id\":0,\"error\":\"request line exceeds"));
+
+        // An oversize line with a newline, then a normal request: the
+        // service skips the rest of the long line and answers the next.
+        let mut input = vec![b'y'; 2 * MAX_REQUEST_LINE_BYTES];
+        input.push(b'\n');
+        input.extend_from_slice(solve_req(5).as_bytes());
+        input.push(b'\n');
+        let mut out = Vec::new();
+        let outcome = svc.run_lines(&input[..], &mut out).unwrap();
+        assert_eq!(outcome.requests, 2);
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("{\"id\":0,\"error\":"), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"idx\":5,"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_served_and_invalid_utf8_is_answered() {
+        let svc = memo_only();
+        let req = solve_req(8);
+        let mut input = req.as_bytes().to_vec();
+        input.resize(MAX_REQUEST_LINE_BYTES - 1, b' ');
+        input.push(b'\n');
+        input.extend_from_slice(b"{\"id\":9,\"op\":\"\xff\"}\n");
+        let mut out = Vec::new();
+        svc.run_lines(&input[..], &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("{\"idx\":8,"), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"id\":0,\"error\":\"request line is not valid UTF-8"));
     }
 
     #[test]

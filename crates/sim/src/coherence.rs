@@ -8,11 +8,11 @@
 //!
 //! Two protocols share the directory state:
 //! * **MESI** (write-invalidate) — [`Directory::read`] / [`Directory::write`],
-//!   the legacy serial simulator's protocol.
+//!   the paper's protocol.
 //! * **Dragon-style write-update** — [`Directory::read_keep_owner`] /
 //!   [`Directory::write_update`]: a write pushes the new data to the other
 //!   sharers instead of invalidating them, and a read from a dirty owner
-//!   does not downgrade it. Only the sharded engine speaks this dialect.
+//!   does not downgrade it.
 
 use std::collections::HashMap;
 

@@ -14,8 +14,8 @@ pub enum ThreadState {
     /// Queued on a lock since the given cycle.
     WaitingLock(u32, u64),
     /// Blocked on a cross-shard memory response issued at the given cycle
-    /// (sharded engine only; resolved into [`ThreadState::StalledUntil`]
-    /// at the next epoch boundary, never woken by [`Thread::tick`]).
+    /// (resolved into [`ThreadState::StalledUntil`] at the next epoch
+    /// boundary, never woken by [`Thread::tick`]).
     WaitingMem(u64),
 }
 

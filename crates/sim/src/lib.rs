@@ -14,21 +14,28 @@
 //! tRCD/CL/tRP/tRC/tRRD timing under an open- or closed-page policy.
 //!
 //! Timing is resource-reservation based: a memory request's latency is
-//! resolved at issue by walking the hierarchy and reserving bank/bus slots
+//! resolved by walking the hierarchy and reserving bank/bus slots
 //! (multisubbank-interleave initiation intervals, DRAM bank cycles, burst
 //! slots), which keeps simulation fast while modeling contention. Threads
 //! block on loads, synchronize at barriers and locks, and every stall
 //! cycle is attributed to the level that serviced the miss — exactly the
 //! categories of the paper's Figure 4(b).
 //!
+//! One engine, [`ShardedSimulator`], runs every configuration: each core
+//! and its private L1/L2 is an actor, and the shared fabric (L3, directory,
+//! DRAM, locks, barrier) is resolved at fixed epoch boundaries — see
+//! [`shard`]. The paper study runs it at one worker; 64–256-core
+//! configurations may spread the actors over several workers with
+//! bitwise-identical results.
+//!
 //! # Example
 //!
 //! ```
-//! use memsim::{SystemConfig, Simulator, trace::StridedSource};
+//! use memsim::{SystemConfig, ShardedSimulator, trace::StridedSource};
 //!
 //! let config = SystemConfig::baseline_no_l3();
 //! let trace = StridedSource::new(32, 0.3, 1 << 30);
-//! let mut sim = Simulator::new(config, trace);
+//! let mut sim = ShardedSimulator::new(config, trace, 1);
 //! let stats = sim.run(100_000);
 //! assert!(stats.ipc() > 0.0);
 //! ```
@@ -42,7 +49,6 @@ pub mod l3;
 pub mod record;
 pub mod rng;
 pub mod shard;
-pub mod sim;
 pub mod stats;
 pub mod trace;
 
@@ -50,6 +56,5 @@ pub use config::{
     CacheConfig, CoherenceProtocol, ConfigError, DramConfig, L3Config, PagePolicy, SystemConfig,
 };
 pub use shard::{ShardInfo, ShardedSimulator};
-pub use sim::Simulator;
 pub use stats::{SimStats, StallKind};
 pub use trace::{Instr, TraceSource};

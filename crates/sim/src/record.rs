@@ -109,7 +109,7 @@ impl TraceSource for RecordedTrace {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::sim::Simulator;
+    use crate::shard::ShardedSimulator;
     use crate::trace::StridedSource;
 
     #[test]
@@ -138,12 +138,19 @@ mod tests {
     #[test]
     fn recorded_simulation_reproduces_the_original() {
         let cfg = SystemConfig::baseline_no_l3();
-        let rec = Recorder::new(StridedSource::new(32, 0.3, 1 << 20), 32);
-        let mut sim = Simulator::new(cfg.clone(), rec);
+        let n = cfg.n_threads();
+        let tpc = cfg.threads_per_core as usize;
+        let rec = Recorder::new(StridedSource::new(n, 0.3, 1 << 20), n);
+        let mut sim = ShardedSimulator::new(cfg.clone(), rec, 1);
         let first = sim.run(100_000);
-        let mut replay = sim.into_trace_source().into_trace();
-        replay.rewind();
-        let mut sim2 = Simulator::new(cfg, replay);
+        // Each actor recorded only its own core's threads: splice every
+        // thread's stream from the clone that owned it.
+        let mut per_core = sim.into_trace_sources();
+        let streams = (0..n)
+            .map(|tid| std::mem::take(&mut per_core[tid / tpc].streams[tid]))
+            .collect();
+        let replay = RecordedTrace::from_streams(streams);
+        let mut sim2 = ShardedSimulator::new(cfg, replay, 1);
         let second = sim2.run(100_000);
         assert_eq!(first.instructions, second.instructions);
         assert_eq!(first.cycles, second.cycles);

@@ -28,13 +28,16 @@
 //! precision for remote traffic. Shard-local activity still advances
 //! cycle by cycle inside the window.
 //!
-//! This engine intentionally differs from the serial reference
-//! [`crate::Simulator`] in *when* coherence actions land: the legacy loop
-//! applies invalidations and fills instantly mid-cycle, while here they
-//! land at epoch boundaries. Both are valid timing models; the legacy
-//! loop remains the paper-study reference, and this engine is the one
-//! that scales to 64–256 cores (and the only one implementing the Dragon
-//! write-update protocol).
+//! This is the crate's only simulator engine: the paper's LLC study runs
+//! it at one worker, the 64–256-core configurations at any worker count,
+//! under either coherence protocol (MESI write-invalidate or Dragon
+//! write-update). Its timing semantics are those of the epoch model: an
+//! L2 miss, upgrade, lock or barrier issued at cycle `c` takes effect at
+//! the boundary of the epoch containing `c`, so coherence side effects
+//! (invalidations, updates, fills) become visible to other cores up to
+//! `Q − 1` cycles after issue. The latency *charged* to a request is still
+//! anchored at its issue cycle, so only the visibility of shared state is
+//! skewed, and by at most `Q − 1` cycles (see DESIGN.md §18).
 
 use crate::cache::{LineState, SetAssocCache};
 use crate::coherence::{CoreSet, Directory, ReadSource};
@@ -72,8 +75,8 @@ enum Source {
 ///
 /// The `(cycle, core, seq)` triple is the canonical drain order: `seq` is
 /// a per-actor monotone counter, so messages from one core replay in
-/// issue order and ties across cores break by core index — exactly the
-/// order the serial reference visits cores within a cycle.
+/// issue order and ties across cores break by core index — the order the
+/// issue loop visits cores within a cycle.
 #[derive(Debug, Clone, Copy)]
 struct Msg {
     cycle: u64,
@@ -161,7 +164,7 @@ pub struct ShardInfo {
 /// `T` must be [`Clone`] because each actor owns a clone of the trace
 /// source and polls only its own threads; sources in this workspace
 /// derive every thread's stream from `(seed, tid)` alone, so the clones
-/// yield exactly the streams the serial engine would see.
+/// yield exactly the streams a single shared source would.
 pub struct ShardedSimulator<T> {
     cfg: SystemConfig,
     quantum: u64,
@@ -1158,6 +1161,168 @@ mod tests {
         assert!(sim.cycle() > 0);
         let total: u64 = stats.cycle_breakdown.iter().sum();
         assert_eq!(total, stats.cycles * 32);
+    }
+
+    fn run_1w<T: TraceSource + Clone + Send>(cfg: SystemConfig, trace: T, n: u64) -> SimStats {
+        ShardedSimulator::new(cfg, trace, 1).run(n)
+    }
+
+    #[test]
+    fn try_new_rejects_page_mode_l3_without_timing() {
+        let mut cfg = SystemConfig::with_sram_l3();
+        cfg.l3.as_mut().unwrap().interface = crate::config::L3Interface::PageMode;
+        let trace = StridedSource::new(32, 0.3, 1 << 20);
+        let err = ShardedSimulator::try_new(cfg, trace, 1).err();
+        assert_eq!(err, Some(crate::config::ConfigError::PageModeWithoutTiming));
+    }
+
+    #[test]
+    fn compute_only_workload_hits_peak_issue() {
+        // No memory ops: every thread alternates FP/Other; the chip should
+        // sustain a healthy IPC and attribute everything to Instruction.
+        let stats = run_1w(
+            SystemConfig::baseline_no_l3(),
+            StridedSource::new(32, 0.0, 1 << 20),
+            100_000,
+        );
+        assert!(stats.ipc() > 4.0, "ipc = {}", stats.ipc());
+        let f = stats.breakdown_fractions();
+        assert!(f[0] > 0.9, "instruction fraction {}", f[0]);
+        assert_eq!(stats.counts.mem_reads, 0);
+    }
+
+    #[test]
+    fn small_working_set_stays_in_l1() {
+        // 16 KB per thread × 4 threads = 64 KB per core… exceeds a 32 KB
+        // L1 but fits L2 easily; most accesses should be L1/L2 hits. The
+        // run is long enough to amortize the cold misses.
+        let stats = run_1w(
+            SystemConfig::baseline_no_l3(),
+            StridedSource::new(32, 0.3, 16 << 10),
+            1_500_000,
+        );
+        let to_mem = stats.counts.mem_reads as f64 / stats.loads.max(1) as f64;
+        assert!(to_mem < 0.05, "memory rate {to_mem}");
+        // Steady state is L1/L2 hits (2–5 cycles); the average carries the
+        // cold-start burst, where 8192 compulsory misses hammer a handful
+        // of DRAM banks at full tRC each — so allow generous headroom.
+        assert!(
+            stats.avg_read_latency() < 35.0,
+            "avg {}",
+            stats.avg_read_latency()
+        );
+        assert!(stats.load_level_hits[0] + stats.load_level_hits[1] > stats.loads * 9 / 10);
+    }
+
+    #[test]
+    fn huge_working_set_goes_to_memory_and_l3_filters_it() {
+        // 64 MB per thread: misses everywhere without an L3.
+        let mk = |cfg| run_1w(cfg, StridedSource::new(32, 0.3, 64 << 20), 150_000);
+        let no_l3 = mk(SystemConfig::baseline_no_l3());
+        let with_l3 = mk(SystemConfig::with_sram_l3());
+        assert!(no_l3.counts.mem_reads > 0);
+        assert!(no_l3.avg_read_latency() > 20.0);
+        // The 24 MB L3 can hold a fraction of the 2 GB working set only —
+        // but reuse is random, so *some* hits occur; mostly this checks
+        // the L3 path end-to-end.
+        assert!(with_l3.counts.l3_reads > 0);
+        assert!(with_l3.counts.mem_reads <= no_l3.counts.mem_reads * 11 / 10);
+    }
+
+    #[test]
+    fn barrier_synchronizes_all_threads() {
+        #[derive(Clone)]
+        struct BarrierEvery(u64, Vec<u64>);
+        impl TraceSource for BarrierEvery {
+            fn next(&mut self, tid: usize) -> Instr {
+                self.1[tid] += 1;
+                if self.1[tid].is_multiple_of(self.0) {
+                    Instr::Barrier
+                } else {
+                    Instr::Fp
+                }
+            }
+        }
+        let stats = run_1w(
+            SystemConfig::baseline_no_l3(),
+            BarrierEvery(50, vec![0; 32]),
+            50_000,
+        );
+        assert!(stats.attributed(StallKind::Barrier) > 0);
+    }
+
+    #[test]
+    fn locks_serialize_and_attribute_wait() {
+        #[derive(Clone)]
+        struct LockLoop(Vec<u32>);
+        impl TraceSource for LockLoop {
+            fn next(&mut self, tid: usize) -> Instr {
+                self.0[tid] += 1;
+                match self.0[tid] % 8 {
+                    1 => Instr::Lock(0),
+                    5 => Instr::Unlock(0),
+                    _ => Instr::Other,
+                }
+            }
+        }
+        let stats = run_1w(
+            SystemConfig::baseline_no_l3(),
+            LockLoop(vec![0; 32]),
+            50_000,
+        );
+        assert!(stats.attributed(StallKind::Lock) > 0);
+    }
+
+    #[test]
+    fn shared_data_exercises_coherence() {
+        // All threads hammer the same small region with stores: the
+        // directory must bounce ownership around without deadlock. The
+        // state is per thread so every actor's clone replays its own
+        // threads' streams.
+        #[derive(Clone)]
+        struct SharedWrites(Vec<u64>);
+        impl TraceSource for SharedWrites {
+            fn next(&mut self, tid: usize) -> Instr {
+                let s = &mut self.0[tid];
+                *s = s.wrapping_mul(6364136223846793005).wrapping_add(tid as u64);
+                let addr = (*s >> 8) % (8 << 10);
+                if *s & 1 == 0 {
+                    Instr::Store(addr & !63)
+                } else {
+                    Instr::Load(addr & !63)
+                }
+            }
+        }
+        let stats = run_1w(
+            SystemConfig::baseline_no_l3(),
+            SharedWrites(vec![1; 32]),
+            100_000,
+        );
+        assert!(stats.instructions >= 100_000);
+        assert!(stats.counts.l2_reads > 0);
+    }
+
+    #[test]
+    fn cycle_breakdown_conserves_thread_cycles() {
+        let stats = run_1w(
+            SystemConfig::with_sram_l3(),
+            StridedSource::new(32, 0.4, 8 << 20),
+            100_000,
+        );
+        let total: u64 = stats.cycle_breakdown.iter().sum();
+        assert_eq!(total, stats.cycles * 32);
+    }
+
+    #[test]
+    fn determinism() {
+        let run = || {
+            run_1w(
+                SystemConfig::with_sram_l3(),
+                StridedSource::new(32, 0.4, 4 << 20),
+                50_000,
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

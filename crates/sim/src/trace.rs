@@ -56,8 +56,8 @@ impl StridedSource {
     /// streams are derived as `(seed, tid)` splitmix expansions
     /// ([`crate::rng::XorShift64Star::for_stream`]), so each thread's
     /// stream is a pure function of the pair — independent of the order
-    /// threads are polled in, and therefore identical whether the
-    /// simulator runs serially or sharded.
+    /// threads are polled in, and therefore identical at any shard worker
+    /// count.
     ///
     /// # Panics
     ///

@@ -4,9 +4,7 @@
 
 use memsim::record::Recorder;
 use memsim::trace::{Instr, StridedSource, TraceSource};
-use memsim::{
-    CoherenceProtocol, ConfigError, ShardedSimulator, SimStats, Simulator, StallKind, SystemConfig,
-};
+use memsim::{CoherenceProtocol, ShardedSimulator, SimStats, StallKind, SystemConfig};
 
 fn run_sharded<T: TraceSource + Clone + Send>(
     cfg: &SystemConfig,
@@ -161,32 +159,25 @@ fn dragon_is_also_worker_count_invariant() {
 }
 
 #[test]
-fn serial_engine_rejects_dragon_sharded_accepts_it() {
+fn dragon_is_accepted_on_the_paper_chip() {
     let mut cfg = SystemConfig::with_sram_l3();
     cfg.protocol = CoherenceProtocol::Dragon;
     let n = cfg.n_threads();
-    let err = Simulator::try_new(cfg.clone(), StridedSource::new(n, 0.3, 1 << 20)).err();
-    assert_eq!(err, Some(ConfigError::ProtocolNeedsShardedEngine));
     assert!(ShardedSimulator::try_new(cfg, StridedSource::new(n, 0.3, 1 << 20), 1).is_ok());
 }
 
 #[test]
-fn sharded_tracks_the_serial_reference_on_compute_only_work() {
+fn compute_only_work_hits_peak_issue() {
     // With no memory operations there is no cross-shard traffic at all:
-    // phase A is cycle-for-cycle the serial engine's issue logic, so IPC
-    // must land within a whisker of the reference (stopping granularity —
-    // epoch boundary vs. cycle — accounts for the slack).
+    // the chip sustains near-peak issue and attributes almost every
+    // thread-cycle to instruction processing.
     let cfg = SystemConfig::with_sram_l3();
     let n = cfg.n_threads();
-    let mut legacy = Simulator::new(cfg.clone(), StridedSource::new(n, 0.0, 1 << 20));
-    let ref_stats = legacy.run(100_000);
     let stats = run_sharded(&cfg, StridedSource::new(n, 0.0, 1 << 20), 2, 100_000);
     assert_eq!(stats.counts.mem_reads, 0);
-    let (a, b) = (stats.ipc(), ref_stats.ipc());
-    assert!(
-        (a - b).abs() / b < 0.05,
-        "sharded ipc {a} vs serial ipc {b}"
-    );
+    assert!(stats.ipc() > 4.0, "ipc = {}", stats.ipc());
+    let f = stats.breakdown_fractions();
+    assert!(f[0] > 0.9, "instruction fraction {}", f[0]);
 }
 
 /// Every thread hits the global barrier every 40 instructions.

@@ -4,7 +4,7 @@
 
 use crate::configs::{self, LlcKind, StudyConfig};
 use crate::report::format_table;
-use memsim::{SimStats, Simulator};
+use memsim::{ShardedSimulator, SimStats};
 use npbgen::{NpbApp, NpbTrace};
 
 /// Result of simulating one (application, configuration) pair.
@@ -43,7 +43,7 @@ pub fn run_study(instructions: u64) -> Vec<(StudyConfig, Vec<AppRun>)> {
 pub fn run_one(cfg: &StudyConfig, app: NpbApp, instructions: u64) -> AppRun {
     let _span = cactid_obs::span("study.run_one");
     let trace = NpbTrace::new(app, cfg.system.n_threads());
-    let mut sim = Simulator::new(cfg.system.clone(), trace);
+    let mut sim = ShardedSimulator::new(cfg.system.clone(), trace, 1);
     // Full-length warm-up: the big L3s take tens of millions of
     // instructions to populate (60–450 MB warm sets).
     sim.run(instructions);

@@ -8,7 +8,7 @@
 //! miss ratio at each size — the curves that explain Figure 4.
 
 use crate::configs::{self, LlcKind, StudyConfig};
-use memsim::Simulator;
+use memsim::ShardedSimulator;
 use npbgen::{NpbApp, NpbClass, NpbTrace};
 
 /// One point of the sensitivity curve.
@@ -48,7 +48,7 @@ pub fn capacity_sweep(
         };
         l3.bank.capacity_bytes = cap / u64::from(l3.n_banks);
         let trace = NpbTrace::with_class(app, class, cfg.system.n_threads());
-        let mut sim = Simulator::new(cfg.system.clone(), trace);
+        let mut sim = ShardedSimulator::new(cfg.system.clone(), trace, 1);
         sim.run(instructions);
         sim.reset_stats();
         let stats = sim.run(instructions);

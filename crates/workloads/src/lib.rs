@@ -24,10 +24,10 @@
 //!
 //! ```
 //! use npbgen::{NpbApp, NpbTrace};
-//! use memsim::{Simulator, SystemConfig};
+//! use memsim::{ShardedSimulator, SystemConfig};
 //!
 //! let trace = NpbTrace::new(NpbApp::FtB, 32);
-//! let mut sim = Simulator::new(SystemConfig::with_sram_l3(), trace);
+//! let mut sim = ShardedSimulator::new(SystemConfig::with_sram_l3(), trace, 1);
 //! let stats = sim.run(50_000);
 //! assert!(stats.instructions >= 50_000);
 //! ```
