@@ -268,6 +268,18 @@ grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/shard.trace.jsonl" || {
 }
 rm -rf "$MDIR"
 
+echo "== parallel study smoke (every run records its span)"
+# run_study maps its 48 (config, app) runs over the explore pool; each
+# run's span is recorded on a pool worker and must still land in the
+# process registry that the trace sidecar dumps.
+YDIR=$(mktemp -d)
+$LLC fig5 -n 20000 --trace "$YDIR/study.trace.jsonl" >/dev/null 2>&1
+grep -q '"name":"span.study.run_one.ns","count":48' "$YDIR/study.trace.jsonl" || {
+    echo "trace sidecar lacks 48 span.study.run_one.ns records" >&2
+    exit 1
+}
+rm -rf "$YDIR"
+
 echo "== sim-throughput bench smoke (--quick)"
 # The 1-vs-8-worker simulator bench must run and emit a schema-valid
 # BENCH_sim.json whose determinism gate holds (the speedup gate

@@ -164,7 +164,7 @@ fn main() {
         .collect();
     std::fs::remove_dir_all(&dir).ok();
 
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
+    let hw = cactid_core::par::host_parallelism();
     println!(
         "serve cold vs warm ({}), host parallelism {hw}:",
         if quick { "quick" } else { "full" }

@@ -127,7 +127,7 @@ fn main() {
         bench_config("64-core", &SystemConfig::many_core(64), n_large, batches),
     ];
 
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
+    let hw = cactid_core::par::host_parallelism();
     println!(
         "sim throughput ({}), host parallelism {hw}:",
         if quick { "quick" } else { "full" }

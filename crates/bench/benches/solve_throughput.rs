@@ -197,7 +197,7 @@ fn main() {
         bench_spec("comm-dram-dimm", &comm_dram_dimm(), reps_mm, batches),
     ];
 
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
+    let hw = cactid_core::par::host_parallelism();
     println!(
         "solve throughput ({}), host parallelism {hw}:",
         if quick { "quick" } else { "full" }

@@ -16,9 +16,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// The number of worker threads to use when the caller does not care:
-/// the machine's available parallelism.
+/// the machine's available parallelism, read once per process (see
+/// [`cactid_core::par::host_parallelism`]).
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
+    cactid_core::par::host_parallelism()
 }
 
 /// Runs `work(i)` for every `i in 0..n` on `threads` workers and feeds each

@@ -22,21 +22,27 @@ pub struct AppRun {
 
 /// Runs the full study: every application on every configuration.
 ///
-/// `instructions` is the measured instruction count per run; a quarter of
-/// it is additionally executed first as cache warm-up. The paper runs 10 B
+/// `instructions` is the measured instruction count per run; as many
+/// again run first as cache warm-up. The paper runs 10 B
 /// instructions per pair; tens of millions are enough for the synthetic
 /// profiles to reach steady state.
+///
+/// The 48 runs are independent, so they go on the explore work-claiming
+/// pool at the host's parallelism. Each run is deterministic on its own,
+/// and the results come back in `LlcKind::ALL` × `NpbApp::ALL` order.
 pub fn run_study(instructions: u64) -> Vec<(StudyConfig, Vec<AppRun>)> {
-    let mut out = Vec::new();
-    for &kind in LlcKind::ALL {
-        let cfg = configs::build(kind);
-        let mut runs = Vec::new();
-        for &app in NpbApp::ALL {
-            runs.push(run_one(&cfg, app, instructions));
-        }
-        out.push((cfg, runs));
-    }
-    out
+    let cfgs: Vec<StudyConfig> = LlcKind::ALL.iter().map(|&k| configs::build(k)).collect();
+    let pairs: Vec<(&StudyConfig, NpbApp)> = cfgs
+        .iter()
+        .flat_map(|cfg| NpbApp::ALL.iter().map(move |&app| (cfg, app)))
+        .collect();
+    let mut runs = cactid_explore::pool::parallel_map(0, &pairs, |_, &(cfg, app)| {
+        run_one(cfg, app, instructions)
+    })
+    .into_iter();
+    cfgs.into_iter()
+        .map(|cfg| (cfg, runs.by_ref().take(NpbApp::ALL.len()).collect()))
+        .collect()
 }
 
 /// Runs one (application, configuration) pair.
@@ -142,6 +148,34 @@ mod tests {
         );
         assert!(b.stats.avg_read_latency() < a.stats.avg_read_latency());
         assert!(b.stats.counts.mem_reads < a.stats.counts.mem_reads);
+    }
+
+    #[test]
+    fn parallel_study_matches_a_serial_loop_run_by_run() {
+        let n = 20_000;
+        let study = run_study(n);
+        let serial: Vec<AppRun> = LlcKind::ALL
+            .iter()
+            .flat_map(|&kind| {
+                let cfg = configs::build(kind);
+                NpbApp::ALL.iter().map(move |&app| run_one(&cfg, app, n))
+            })
+            .collect();
+        let parallel: Vec<&AppRun> = study.iter().flat_map(|(_, runs)| runs).collect();
+        assert_eq!(parallel.len(), serial.len());
+        for (p, s) in parallel.iter().zip(&serial) {
+            assert_eq!((p.kind, p.app), (s.kind, s.app));
+            assert_eq!(
+                p.stats.digest(),
+                s.stats.digest(),
+                "{} on {:?}",
+                s.app,
+                s.kind
+            );
+        }
+        for (cfg, runs) in &study {
+            assert!(runs.iter().all(|r| r.kind == cfg.kind));
+        }
     }
 
     #[test]
