@@ -247,21 +247,25 @@ rm -rf "$VDIR"
 
 echo "== sharded-sim smoke (worker-count determinism + obs counters)"
 # A 64-core run through the sharded engine must produce a bitwise
-# identical stats digest at 1 and 8 workers, and the trace sidecar must
-# show the epoch machinery actually ran (sim.shard.epochs > 0).
+# identical stats digest at 1, 2 and 8 workers (2 is what the auto
+# policy picks on a 2-CPU host), and the trace sidecar must show the
+# epoch machinery actually ran (sim.shard.epochs > 0).
 MDIR=$(mktemp -d)
 cargo build --release --quiet -p llc-study --bin llc-study
 LLC=target/release/llc-study
 $LLC shard --cores 64 --shards 1 -n 20000 > "$MDIR/w1.txt" 2>/dev/null
+$LLC shard --cores 64 --shards 2 -n 20000 > "$MDIR/w2.txt" 2>/dev/null
 $LLC shard --cores 64 --shards 8 -n 20000 --trace "$MDIR/shard.trace.jsonl" \
     > "$MDIR/w8.txt" 2>/dev/null
 D1=$(sed 's/.*digest=//' "$MDIR/w1.txt")
-D8=$(sed 's/.*digest=//' "$MDIR/w8.txt")
-test -n "$D1" && test "$D1" = "$D8" || {
-    echo "sharded digests differ between 1 and 8 workers:" >&2
-    cat "$MDIR/w1.txt" "$MDIR/w8.txt" >&2
-    exit 1
-}
+for W in 2 8; do
+    DW=$(sed 's/.*digest=//' "$MDIR/w$W.txt")
+    test -n "$D1" && test "$D1" = "$DW" || {
+        echo "sharded digests differ between 1 and $W workers:" >&2
+        cat "$MDIR/w1.txt" "$MDIR/w$W.txt" >&2
+        exit 1
+    }
+done
 grep -q '"name":"sim.shard.epochs","value":[1-9]' "$MDIR/shard.trace.jsonl" || {
     echo "trace sidecar lacks a nonzero sim.shard.epochs counter" >&2
     exit 1

@@ -4,17 +4,24 @@
 //! shared fabric — L3 banks, coherence directory, DRAM channels, locks and
 //! the barrier — lives at the *boundary*. Shards advance in lock-step
 //! epochs of a fixed cycle quantum over the hermetic
-//! [`cactid_core::par::run_epochs`] pool:
+//! [`cactid_core::par::run_epochs`] team, which owns the actors: each
+//! worker holds a contiguous group of them for phase A, and the
+//! coordinator holds all of them for phase B, so the actors themselves
+//! carry no lock.
 //!
 //! * **Phase A** (parallel): every actor simulates its own threads for the
 //!   window `[t0, t0 + Q)` touching only shard-local state (L1/L2 hits,
 //!   FP/other issue, round-robin arbitration). Anything that needs the
 //!   shared fabric is appended to the actor's outbox as a message stamped
-//!   `(cycle, core, seq)`.
+//!   `(cycle, core, seq)`. An actor with no ready thread and no stall
+//!   expiring inside the window is skipped outright: its window would
+//!   only fast-forward to `t0 + Q` and change nothing.
 //! * **Phase B** (single-threaded): the coordinator drains all outboxes in
 //!   ascending `(cycle, core, seq)` order and applies them to the
 //!   boundary — directory lookups, invalidations/updates, L3 and DRAM
-//!   reservations, lock grants, barrier release.
+//!   reservations, lock grants, barrier release. Every thread it
+//!   unblocks goes through `CoreActor::wake`, which keeps the actor's
+//!   summary exact for the next idle skip.
 //!
 //! Because messages are processed in an order that is a pure function of
 //! simulated time (never of host scheduling), the results are **bitwise
@@ -47,9 +54,9 @@ use crate::dram::DramChannel;
 use crate::l3::L3;
 use crate::stats::{SimStats, StallKind};
 use crate::trace::{Instr, TraceSource};
+use cactid_core::par::Groups;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Below this core count the epoch machinery is pure overhead: the auto
 /// worker policy (`workers == 0`) falls back to the inline serial path.
@@ -102,14 +109,24 @@ enum MsgKind {
     BarrierArrive,
 }
 
-/// Per-actor progress digest computed at the end of each phase A window
-/// (inside the lock the worker already holds), so the coordinator's
-/// stop/fast-forward decision needs no second scan over every thread.
-#[derive(Debug, Default, Clone, Copy)]
+/// Per-actor progress digest: computed at the end of each phase A window
+/// and kept exact through phase B by [`CoreActor::wake`], so neither the
+/// idle skip nor the coordinator's fast-forward decision scans threads.
+#[derive(Debug, Clone, Copy)]
 struct ActorSummary {
+    /// Some thread is [`ThreadState::Ready`].
     any_ready: bool,
+    /// Earliest [`ThreadState::StalledUntil`] expiry.
     min_stall: Option<u64>,
-    instructions: u64,
+}
+
+impl ActorSummary {
+    /// Whether a window ending at `t1` can do anything: some thread is
+    /// ready or its stall expires before `t1`. Otherwise the window would
+    /// fast-forward straight to `t1` and recompute this same summary.
+    fn active_before(&self, t1: u64) -> bool {
+        self.any_ready || self.min_stall.is_some_and(|s| s < t1)
+    }
 }
 
 /// One core plus its private caches and threads — owned by exactly one
@@ -171,19 +188,15 @@ pub struct ShardedSimulator<T> {
     /// Requested worker count; 0 = auto (host parallelism, with serial
     /// fallback for small configs/runs).
     workers: usize,
-    actors: Vec<Mutex<CoreActor<T>>>,
+    actors: Vec<CoreActor<T>>,
     boundary: Boundary,
     cycle: u64,
     stats_epoch: u64,
     info: ShardInfo,
 }
 
-fn lock_actor<'a, T>(
-    actors: &'a [Mutex<CoreActor<T>>],
-    core: usize,
-) -> MutexGuard<'a, CoreActor<T>> {
-    actors[core].lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// The coordinator's phase B view of every actor, indexed by core.
+type Actors<'a, T> = Groups<'a, CoreActor<T>>;
 
 impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     /// Builds an idle sharded system; see [`ShardedSimulator::try_new`].
@@ -216,27 +229,28 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
         cfg.validate()?;
         let tpc = cfg.threads_per_core as usize;
         let actors = (0..cfg.n_cores as usize)
-            .map(|core| {
-                Mutex::new(CoreActor {
-                    core,
-                    trace: trace.clone(),
-                    threads: (0..tpc).map(|_| Thread::new()).collect(),
-                    l1: SetAssocCache::new(
-                        cfg.l1.capacity_bytes,
-                        cfg.l1.line_bytes,
-                        cfg.l1.associativity,
-                    ),
-                    l2: SetAssocCache::new(
-                        cfg.l2.capacity_bytes,
-                        cfg.l2.line_bytes,
-                        cfg.l2.associativity,
-                    ),
-                    rr: 0,
-                    stats: SimStats::default(),
-                    outbox: Vec::new(),
-                    seq: 0,
-                    summary: ActorSummary::default(),
-                })
+            .map(|core| CoreActor {
+                core,
+                trace: trace.clone(),
+                threads: (0..tpc).map(|_| Thread::new()).collect(),
+                l1: SetAssocCache::new(
+                    cfg.l1.capacity_bytes,
+                    cfg.l1.line_bytes,
+                    cfg.l1.associativity,
+                ),
+                l2: SetAssocCache::new(
+                    cfg.l2.capacity_bytes,
+                    cfg.l2.line_bytes,
+                    cfg.l2.associativity,
+                ),
+                rr: 0,
+                stats: SimStats::default(),
+                outbox: Vec::new(),
+                seq: 0,
+                summary: ActorSummary {
+                    any_ready: true,
+                    min_stall: None,
+                },
             })
             .collect();
         let boundary = Boundary {
@@ -310,26 +324,15 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
 
         let start_cycle = self.cycle;
         let cycle_cap = start_cycle + target_instructions.saturating_mul(1000).max(10_000);
-        let start_instr: u64 = self
-            .actors
-            .iter_mut()
-            .map(|a| {
-                a.get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .stats
-                    .instructions
-            })
-            .sum();
+        let start_instr: u64 = self.actors.iter().map(|a| a.stats.instructions).sum();
         let target = start_instr + target_instructions;
 
         let quantum = self.quantum;
         let cfg = &self.cfg;
-        let actors = &self.actors[..];
-        let n_actors = actors.len();
         let boundary = &mut self.boundary;
         let info = &mut self.info;
         // The current epoch window, published by the coordinator before
-        // each phase A and read by every worker after the start barrier.
+        // each phase A and read by every worker after the barrier.
         let t0 = AtomicU64::new(start_cycle);
         let t1 = AtomicU64::new(start_cycle + quantum);
         let mut final_cycle = start_cycle;
@@ -338,46 +341,44 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
 
         cactid_core::par::run_epochs(
             workers,
-            |w, _epoch| {
+            &mut self.actors,
+            |group, _epoch| {
                 let (a, b) = (t0.load(Ordering::Acquire), t1.load(Ordering::Acquire));
-                let mut i = w;
-                while i < n_actors {
-                    lock_actor(actors, i).run_window(cfg, a, b);
-                    i += workers;
+                for actor in group {
+                    if actor.summary.active_before(b) {
+                        actor.run_window(cfg, a, b);
+                    }
                 }
             },
-            |_epoch| {
+            |actors, _epoch| {
                 let t_end = t1.load(Ordering::Relaxed);
-                // One pass per actor: take its outbox and fold in the
-                // progress digest phase A left behind.
                 msgs.clear();
-                let mut total_instr = 0;
-                let mut any_ready = false;
-                let mut min_stall: Option<u64> = None;
-                for a in actors {
-                    let mut g = a.lock().unwrap_or_else(PoisonError::into_inner);
-                    msgs.append(&mut g.outbox);
-                    let s = g.summary;
-                    total_instr += s.instructions;
-                    any_ready |= s.any_ready;
-                    if let Some(x) = s.min_stall {
-                        min_stall = Some(min_stall.map_or(x, |m: u64| m.min(x)));
-                    }
+                for a in actors.iter_mut() {
+                    msgs.append(&mut a.outbox);
                 }
                 msgs.sort_unstable_by_key(|m| (m.cycle, m.core, m.seq));
                 info.epochs += 1;
                 info.messages += msgs.len() as u64;
-                // Draining resolves blocked threads into StalledUntil;
-                // each such wake folds into min_stall as it happens, so no
-                // post-drain rescan is needed (drains never create Ready).
                 for m in &msgs {
-                    process(cfg, actors, boundary, info, m, t_end, &mut min_stall);
+                    process(cfg, actors, boundary, info, m, t_end);
                 }
                 let now = std::time::Instant::now();
                 cactid_obs::histogram!("sim.shard.epoch.ns")
                     .record(now.duration_since(last_tick).as_nanos() as u64);
                 last_tick = now;
 
+                // Draining resolved blocked threads through `wake`, so the
+                // summaries are exact again (drains never create Ready).
+                let mut total_instr = 0;
+                let mut any_ready = false;
+                let mut min_stall: Option<u64> = None;
+                for a in actors.iter() {
+                    total_instr += a.stats.instructions;
+                    any_ready |= a.summary.any_ready;
+                    if let Some(x) = a.summary.min_stall {
+                        fold_min(&mut min_stall, x);
+                    }
+                }
                 if total_instr >= target || t_end >= cycle_cap {
                     final_cycle = t_end;
                     return false;
@@ -416,8 +417,8 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     /// unattributed thread-cycle was spent processing instructions.
     fn finalize(&mut self) -> SimStats {
         let mut s = self.boundary.stats.clone();
-        for a in &mut self.actors {
-            s.merge(&a.get_mut().unwrap_or_else(PoisonError::into_inner).stats);
+        for a in &self.actors {
+            s.merge(&a.stats);
         }
         s.cycles = self.cycle - self.stats_epoch;
         let total = s.cycles * self.cfg.n_threads() as u64;
@@ -435,7 +436,7 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     pub fn reset_stats(&mut self) {
         self.boundary.stats = SimStats::default();
         for a in &mut self.actors {
-            a.get_mut().unwrap_or_else(PoisonError::into_inner).stats = SimStats::default();
+            a.stats = SimStats::default();
         }
         self.stats_epoch = self.cycle;
     }
@@ -444,10 +445,7 @@ impl<T: TraceSource + Clone + Send> ShardedSimulator<T> {
     /// core order (e.g. [`crate::record::Recorder`] clones whose captures
     /// you want to splice per owning core).
     pub fn into_trace_sources(self) -> Vec<T> {
-        self.actors
-            .into_iter()
-            .map(|a| a.into_inner().unwrap_or_else(PoisonError::into_inner).trace)
-            .collect()
+        self.actors.into_iter().map(|a| a.trace).collect()
     }
 }
 
@@ -478,7 +476,14 @@ impl<T: TraceSource> CoreActor<T> {
         self.seq += 1;
     }
 
-    /// Phase A: simulates this core's threads for cycles `[t0, t1)`.
+    /// Phase B: resolves thread `tid`'s boundary wait (load miss, lock,
+    /// barrier) into a stall ending at `at`, folding `at` into the
+    /// summary so it stays exact for the idle skip and the fast-forward.
+    fn wake(&mut self, tid: usize, at: u64) {
+        self.threads[tid].state = ThreadState::StalledUntil(at);
+        fold_min(&mut self.summary.min_stall, at);
+    }
+
     /// `true` when some thread in this shard can issue at `cycle`.
     fn any_issuable(&self, cycle: u64) -> bool {
         self.threads.iter().any(|t| match t.state {
@@ -501,6 +506,7 @@ impl<T: TraceSource> CoreActor<T> {
             .min()
     }
 
+    /// Phase A: simulates this core's threads for cycles `[t0, t1)`.
     fn run_window(&mut self, cfg: &SystemConfig, t0: u64, t1: u64) {
         let tpc = self.threads.len();
         let mut cycle = t0;
@@ -627,16 +633,13 @@ impl<T: TraceSource> CoreActor<T> {
         for t in &self.threads {
             match t.state {
                 ThreadState::Ready => any_ready = true,
-                ThreadState::StalledUntil(x) => {
-                    min_stall = Some(min_stall.map_or(x, |m: u64| m.min(x)));
-                }
+                ThreadState::StalledUntil(x) => fold_min(&mut min_stall, x),
                 _ => {}
             }
         }
         self.summary = ActorSummary {
             any_ready,
             min_stall,
-            instructions: self.stats.instructions,
         };
     }
 
@@ -768,7 +771,7 @@ impl Boundary {
 /// Invalidates `mask` cores' copies (MESI); returns whether one of them
 /// held the line dirty (cache-to-cache source).
 fn invalidate_remotes<T>(
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut Actors<'_, T>,
     b: &mut Boundary,
     info: &mut ShardInfo,
     mask: CoreSet,
@@ -782,7 +785,7 @@ fn invalidate_remotes<T>(
         }
         b.stats.counts.l2_reads += 1; // probe
         info.invalidations += 1;
-        let mut a = lock_actor(actors, other);
+        let a = &mut actors[other];
         if a.l2.invalidate(addr) == Some(LineState::Modified) {
             dirty = true;
         }
@@ -796,7 +799,7 @@ fn invalidate_remotes<T>(
 /// Pushes the written line into `peers`' caches in place (Dragon): their
 /// copies stay valid in Shared state instead of being invalidated.
 fn update_remotes<T>(
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut Actors<'_, T>,
     b: &mut Boundary,
     info: &mut ShardInfo,
     peers: CoreSet,
@@ -810,7 +813,7 @@ fn update_remotes<T>(
         info.updates += 1;
         b.stats.counts.l2_writes += 1; // the update lands in the peer's L2
         b.stats.counts.xbar_transfers += 1;
-        let mut a = lock_actor(actors, other);
+        let a = &mut actors[other];
         a.l2.set_state(addr, LineState::Shared);
         a.l1.set_state(addr, LineState::Shared);
     }
@@ -819,38 +822,32 @@ fn update_remotes<T>(
 /// Downgrades a dirty remote owner to Shared and pushes its data below.
 fn downgrade_remote<T>(
     cfg: &SystemConfig,
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut Actors<'_, T>,
     b: &mut Boundary,
     owner: usize,
     addr: u64,
     now: u64,
 ) {
     b.stats.counts.l2_reads += 1;
-    {
-        let mut a = lock_actor(actors, owner);
-        a.l2.set_state(addr, LineState::Shared);
-        a.l1.set_state(addr, LineState::Shared);
-    }
+    let a = &mut actors[owner];
+    a.l2.set_state(addr, LineState::Shared);
+    a.l1.set_state(addr, LineState::Shared);
     b.writeback_below(cfg, addr, now);
 }
 
-fn fold_wake(min_stall: &mut Option<u64>, x: u64) {
-    *min_stall = Some(min_stall.map_or(x, |m| m.min(x)));
+fn fold_min(min: &mut Option<u64>, x: u64) {
+    *min = Some(min.map_or(x, |m| m.min(x)));
 }
 
 /// Phase B: applies one drained message to the boundary. Every thread it
-/// resolves into [`ThreadState::StalledUntil`] is folded into
-/// `min_stall`, keeping the coordinator's fast-forward bound exact
-/// without a post-drain rescan.
-#[allow(clippy::too_many_arguments)]
+/// resolves goes through [`CoreActor::wake`].
 fn process<T: TraceSource>(
     cfg: &SystemConfig,
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut Actors<'_, T>,
     b: &mut Boundary,
     info: &mut ShardInfo,
     m: &Msg,
     t_end: u64,
-    min_stall: &mut Option<u64>,
 ) {
     let core = m.core as usize;
     let tpc = cfg.threads_per_core as usize;
@@ -868,8 +865,8 @@ fn process<T: TraceSource>(
                 }
             }
         }
-        MsgKind::LoadMiss(addr) => miss(cfg, actors, b, info, m, addr, false, min_stall),
-        MsgKind::StoreMiss(addr) => miss(cfg, actors, b, info, m, addr, true, min_stall),
+        MsgKind::LoadMiss(addr) => miss(cfg, actors, b, info, m, addr, false),
+        MsgKind::StoreMiss(addr) => miss(cfg, actors, b, info, m, addr, true),
         MsgKind::Lock(id) => {
             let gtid = core * tpc + m.tid;
             let lock = b.locks.entry(id).or_default();
@@ -878,9 +875,7 @@ fn process<T: TraceSource>(
                 let wait = t_end - m.cycle;
                 b.stats.attribute(StallKind::Lock, wait);
                 info.stall_cycles += wait;
-                lock_actor(actors, core).threads[m.tid].state =
-                    ThreadState::StalledUntil(t_end + 1);
-                fold_wake(min_stall, t_end + 1);
+                actors[core].wake(m.tid, t_end + 1);
             } else {
                 lock.queue.push_back(gtid);
             }
@@ -892,28 +887,25 @@ fn process<T: TraceSource>(
             lock.holder = None;
             if let Some(next) = lock.queue.pop_front() {
                 lock.holder = Some(next);
-                let mut a = lock_actor(actors, next / tpc);
+                let a = &mut actors[next / tpc];
                 if let ThreadState::WaitingLock(_, since) = a.threads[next % tpc].state {
                     let wait = t_end - since;
                     b.stats.attribute(StallKind::Lock, wait);
                     info.stall_cycles += wait;
                 }
-                a.threads[next % tpc].state = ThreadState::StalledUntil(t_end + 1);
-                fold_wake(min_stall, t_end + 1);
+                a.wake(next % tpc, t_end + 1);
             }
         }
         MsgKind::BarrierArrive => {
             b.barrier_count += 1;
             if b.barrier_count == cfg.n_threads() {
-                for actor in actors {
-                    let mut a = actor.lock().unwrap_or_else(PoisonError::into_inner);
-                    for t in &mut a.threads {
-                        if let ThreadState::AtBarrier(since) = t.state {
+                for a in actors.iter_mut() {
+                    for tid in 0..a.threads.len() {
+                        if let ThreadState::AtBarrier(since) = a.threads[tid].state {
                             let wait = t_end - since;
                             b.stats.attribute(StallKind::Barrier, wait);
                             info.stall_cycles += wait;
-                            t.state = ThreadState::StalledUntil(t_end + 1);
-                            fold_wake(min_stall, t_end + 1);
+                            a.wake(tid, t_end + 1);
                         }
                     }
                 }
@@ -925,16 +917,14 @@ fn process<T: TraceSource>(
 
 /// Phase B handling of an L2 miss — the boundary-side tail of the serial
 /// engine's `mem_access`, anchored at the message's issue cycle.
-#[allow(clippy::too_many_arguments)]
 fn miss<T: TraceSource>(
     cfg: &SystemConfig,
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut Actors<'_, T>,
     b: &mut Boundary,
     info: &mut ShardInfo,
     m: &Msg,
     addr: u64,
     is_store: bool,
-    min_stall: &mut Option<u64>,
 ) {
     let core = m.core as usize;
     let now = m.cycle;
@@ -945,7 +935,7 @@ fn miss<T: TraceSource>(
     // core missing the same line) may already have filled the L2. Service
     // it as the L2 hit it now is — mirroring what the serial engine sees
     // when the first miss fills instantly.
-    let refill = lock_actor(actors, core).l2.lookup(addr);
+    let refill = actors[core].l2.lookup(addr);
     if let Some(state) = refill {
         if is_store {
             match cfg.protocol {
@@ -958,12 +948,12 @@ fn miss<T: TraceSource>(
                     update_remotes(actors, b, info, peers, addr, core);
                 }
             }
-            let mut a = lock_actor(actors, core);
+            let a = &mut actors[core];
             a.stats.counts.l2_writes += 1;
             a.l2.set_state(addr, LineState::Modified);
             a.fill_l1(addr, LineState::Modified);
         } else {
-            let mut a = lock_actor(actors, core);
+            let a = &mut actors[core];
             a.l2.set_state(addr, state);
             a.fill_l1(addr, state);
             b.stats.loads += 1;
@@ -974,8 +964,7 @@ fn miss<T: TraceSource>(
                 b.stats.attribute(StallKind::L2Access, stall);
             }
             info.stall_cycles += l2_lat;
-            a.threads[m.tid].state = ThreadState::StalledUntil(now + l2_lat);
-            fold_wake(min_stall, now + l2_lat);
+            a.wake(m.tid, now + l2_lat);
         }
         return;
     }
@@ -1053,7 +1042,7 @@ fn miss<T: TraceSource>(
         LineState::Exclusive
     };
     fill_l2_boundary(cfg, actors, b, core, addr, fill_state, now);
-    lock_actor(actors, core).fill_l1(addr, fill_state);
+    actors[core].fill_l1(addr, fill_state);
     if is_store {
         b.stats.counts.l2_writes += 1;
     } else {
@@ -1070,13 +1059,12 @@ fn miss<T: TraceSource>(
             b.stats.attribute(kind, stall);
         }
         info.stall_cycles += latency;
-        let mut a = lock_actor(actors, core);
+        let a = &mut actors[core];
         debug_assert!(
             matches!(a.threads[m.tid].state, ThreadState::WaitingMem(_)),
             "a load-miss message must find its thread parked"
         );
-        a.threads[m.tid].state = ThreadState::StalledUntil(now + latency);
-        fold_wake(min_stall, now + latency);
+        a.wake(m.tid, now + latency);
     }
 }
 
@@ -1084,23 +1072,21 @@ fn miss<T: TraceSource>(
 /// directory and the inclusive L1 exactly like the serial engine.
 fn fill_l2_boundary<T: TraceSource>(
     cfg: &SystemConfig,
-    actors: &[Mutex<CoreActor<T>>],
+    actors: &mut Actors<'_, T>,
     b: &mut Boundary,
     core: usize,
     addr: u64,
     state: LineState,
     now: u64,
 ) {
-    let ev = {
-        let mut a = lock_actor(actors, core);
-        a.stats.counts.l2_writes += 1;
-        a.l2.insert(addr, state)
-    };
+    let a = &mut actors[core];
+    a.stats.counts.l2_writes += 1;
+    let ev = a.l2.insert(addr, state);
     if let Some(ev) = ev {
         let ev_line = ev.addr / u64::from(cfg.l1.line_bytes);
         let was_owner = b.dir.evict(ev_line, core);
         // Inclusion: the L1 copy must go too.
-        let l1_state = lock_actor(actors, core).l1.invalidate(ev.addr);
+        let l1_state = actors[core].l1.invalidate(ev.addr);
         let dirty =
             ev.state == LineState::Modified || was_owner || l1_state == Some(LineState::Modified);
         if dirty {

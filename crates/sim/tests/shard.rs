@@ -128,6 +128,40 @@ impl TraceSource for SharedTrace {
 }
 
 #[test]
+fn absolute_digests_are_pinned() {
+    // Worker-count invariance alone would pass an engine change that is
+    // wrong at every worker count (a bad idle skip, say). These digests
+    // were recorded from the engine before its actors moved out of
+    // per-actor locks; any change to what the engine simulates moves them.
+    use npbgen::{NpbApp, NpbTrace};
+    let many = SystemConfig::many_core(64);
+    let ft_b = NpbTrace::from_profile_seeded(NpbApp::FtB.profile(), many.n_threads(), 11);
+    let mut paper_mesi = SystemConfig::with_sram_l3();
+    paper_mesi.protocol = CoherenceProtocol::Mesi;
+    let mut paper_dragon = SystemConfig::with_sram_l3();
+    paper_dragon.protocol = CoherenceProtocol::Dragon;
+    let shared = SharedTrace::new(paper_mesi.n_threads());
+    for workers in [1, 2] {
+        let digest = |s: SimStats| format!("{:016x}", s.digest());
+        assert_eq!(
+            digest(run_sharded(&many, ft_b.clone(), workers, 20_000)),
+            "b81a12d24edae0c8",
+            "64-core MESI ft.B at {workers} workers"
+        );
+        assert_eq!(
+            digest(run_sharded(&paper_mesi, shared.clone(), workers, 20_000)),
+            "e0abad6723ad21c4",
+            "paper chip MESI at {workers} workers"
+        );
+        assert_eq!(
+            digest(run_sharded(&paper_dragon, shared.clone(), workers, 20_000)),
+            "185531a8e23daec3",
+            "paper chip Dragon at {workers} workers"
+        );
+    }
+}
+
+#[test]
 fn dragon_updates_where_mesi_invalidates() {
     // Protocol smoke: the same sharing-heavy workload drives write-update
     // traffic under Dragon and write-invalidate traffic under MESI.
