@@ -13,9 +13,9 @@ use cactid_core::{CactiError, MemorySpec, OrgParams, Solution};
 /// solutions, and completed batch runs.
 ///
 /// `Analyzer` implements [`SolutionLinter`], so it can be plugged into
-/// the optimizer via [`cactid_core::solve_with`] /
-/// [`cactid_core::optimize_with`] — or more conveniently through this
-/// crate's [`solve`] / [`optimize`], which also lint the spec first.
+/// the optimizer via [`cactid_core::solve`] — or more conveniently
+/// through this crate's [`solve`] / [`optimize`], which also lint the spec
+/// first.
 /// Severity overrides apply to *every* diagnostic the analyzer emits,
 /// including engine-side candidate linting, so `--allow`ing a rule really
 /// does let offending candidates through the sweep.
@@ -171,7 +171,7 @@ fn reject_spec_errors(analyzer: &Analyzer, spec: &MemorySpec) -> Result<(), Cact
 pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
     let analyzer = Analyzer::new();
     reject_spec_errors(&analyzer, spec)?;
-    cactid_core::solve_with(spec, &analyzer)
+    cactid_core::solve(spec, Some(&analyzer)).result
 }
 
 /// Linted [`cactid_core::optimize`]: like [`solve`] but returns the §2.4
@@ -184,7 +184,8 @@ pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
     let analyzer = Analyzer::new();
     reject_spec_errors(&analyzer, spec)?;
-    cactid_core::optimize_with(spec, &analyzer)
+    let all = cactid_core::solve(spec, Some(&analyzer)).result?;
+    cactid_core::select(spec, &all)
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! can be rendered rustc-style with [`render::render`].
 //!
 //! The engine plugs into the optimizer: [`optimize`] (or
-//! [`cactid_core::optimize_with`] with an [`Analyzer`]) never returns a
+//! [`cactid_core::solve`] with an [`Analyzer`]) never returns a
 //! solution that fails an `Error`-severity rule; surviving warnings ride
 //! along in [`Solution::warnings`](cactid_core::Solution).
 //!

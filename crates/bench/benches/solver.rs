@@ -35,15 +35,15 @@ mod real {
         ] {
             let s = spec(1 << 20, cell);
             c.bench_function(&format!("solver/solve_1mb_{label}"), |b| {
-                b.iter(|| solve(black_box(&s)).expect("solves"))
+                b.iter(|| solve(black_box(&s), None).result.expect("solves"))
             });
         }
         let big = spec(64 << 20, CellTechnology::CommDram);
         c.bench_function("solver/solve_64mb_comm_dram", |b| {
-            b.iter(|| solve(black_box(&big)).expect("solves"))
+            b.iter(|| solve(black_box(&big), None).result.expect("solves"))
         });
         let s = spec(1 << 20, CellTechnology::Sram);
-        let sols = solve(&s).expect("solves");
+        let sols = solve(&s, None).result.expect("solves");
         c.bench_function("solver/staged_select_1mb_sram", |b| {
             b.iter(|| cactid_core::select(black_box(&s), black_box(&sols)))
         });

@@ -15,7 +15,11 @@ mod real {
 
         let spec = llc_study::table2::micron_spec();
         c.bench_function("table2/solve_micron_1gb", |b| {
-            b.iter(|| cactid_core::solve(black_box(&spec)).expect("solves"))
+            b.iter(|| {
+                cactid_core::solve(black_box(&spec), None)
+                    .result
+                    .expect("solves")
+            })
         });
         c.bench_function("table2/optimize_micron_1gb", |b| {
             b.iter(|| cactid_core::optimize(black_box(&spec)).expect("solves"))

@@ -216,6 +216,9 @@ fn main() {
         ),
         ("micron", micron.clone()),
     ] {
-        println!("{n}: {} candidates", solve(&spec).map_or(0, |v| v.len()));
+        println!(
+            "{n}: {} candidates",
+            solve(&spec, None).result.map_or(0, |v| v.len())
+        );
     }
 }

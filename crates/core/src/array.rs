@@ -254,22 +254,22 @@ impl PrescreenFailure {
 pub const WORDLINE_ELMORE_BOUND: Seconds = Seconds::from_si(3e-9);
 
 /// Certified prescreen cutoffs for one `(node, cell technology)` pair,
-/// proved sound by `cactid-prove`'s exhaustive interval scan and consumed
-/// by the opt-in fast paths ([`prescreen_verdict_with`],
-/// `solve_with_stats_certified`, `static_screen_certified`).
+/// proved sound by `cactid-prove`'s exhaustive interval scan, reported by
+/// `cactid prove` (CD0204) and checked against the concrete screen through
+/// the verdict-only fast path [`prescreen_verdict_with`]. The solver does
+/// not consume them: the production sweep always runs the exact screen.
 ///
 /// Each field is a one-sided claim about [`prescreen_explain`]'s verdict
 /// that holds for **every** `(rows, cols)` inside the scanned domain:
 /// columns past `wordline_reject_above` certainly fail the wordline-Elmore
 /// check, columns up to `wordline_pass_upto` certainly pass it, and
 /// likewise for the DRAM sense margin over power-of-two row counts. The
-/// fast paths fall back to the concrete closed forms outside the certified
-/// domain or inside the undecided boundary zone, so their verdict — and
-/// the failure *reason*, which feeds the audit histograms — is identical
-/// to [`prescreen_explain`] whether or not the certificates bite.
+/// fast path falls back to the concrete closed forms outside the certified
+/// domain or inside the undecided boundary zone, so its verdict — and
+/// the failure *reason* — is identical to [`prescreen_explain`] whether or not the certificates bite.
 ///
-/// [`CertifiedBounds::conservative`] is the no-certificate element: its
-/// fast paths never fire and the behavior degenerates to the concrete
+/// [`CertifiedBounds::conservative`] is the no-certificate element: the
+/// fast path never fires and the behavior degenerates to the concrete
 /// screen. Unsound scans (which would indicate a transcription bug in the
 /// prover) degrade to it rather than ship a wrong cutoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,7 +294,7 @@ pub struct CertifiedBounds {
 }
 
 impl CertifiedBounds {
-    /// The no-certificate element: every fast path falls through to the
+    /// The no-certificate element: the fast path falls through to the
     /// concrete closed forms.
     #[must_use]
     pub const fn conservative() -> Self {

@@ -51,6 +51,7 @@ pub mod tag;
 
 mod optimizer;
 pub mod par;
+pub mod reference;
 
 pub use array::{CertifiedBounds, EvalMemo, PrescreenFailure};
 pub use dimm::{DimmConfig, DimmResult};
@@ -58,10 +59,8 @@ pub use error::CactiError;
 pub use lint::{Diagnostic, Location, Report, Severity, SolutionLinter};
 pub use main_memory::{DramEnergies, DramTiming, MainMemoryResult};
 pub use optimizer::{
-    optimize, optimize_with, select, solve, solve_with, solve_with_stats,
-    solve_with_stats_certified, solve_with_stats_parallel, solve_with_stats_reference,
-    static_screen, static_screen_certified, ScreenHistogram, ScreenVerdict, SolveOutcome,
-    SolveStats, StaticScreen, PARALLEL_SERIAL_THRESHOLD,
+    optimize, select, solve, static_screen, ScreenHistogram, ScreenVerdict, SolveOutcome,
+    SolveStats, StaticScreen,
 };
 pub use org::OrgParams;
 pub use solution::Solution;
@@ -104,10 +103,14 @@ mod tests {
             .build()
             .unwrap();
         let reference = optimize(&spec).unwrap();
-        let winners = par::parallel_map(8, 8, |_| optimize(&spec).unwrap());
-        for w in winners {
-            assert_eq!(w, reference);
-        }
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| optimize(&spec).unwrap()))
+                .collect();
+            for r in racers {
+                assert_eq!(r.join().unwrap(), reference);
+            }
+        });
     }
 
     #[test]

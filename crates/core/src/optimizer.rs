@@ -12,7 +12,6 @@ use crate::error::CactiError;
 use crate::lint::{Severity, SolutionLinter};
 use crate::main_memory;
 use crate::org::{self, OrgParams};
-use crate::par;
 use crate::solution::Solution;
 use crate::spec::{MemoryKind, MemorySpec};
 use crate::tag::{self, TagResult};
@@ -24,9 +23,9 @@ use std::sync::Arc;
 /// derivations (interpolated nodes re-blend anchor tables on every
 /// `Technology::cell` call, which dominated the per-candidate cost on
 /// small sweeps), and the single tag design shared by `Arc`.
-struct SpecCtx<'a> {
+pub(crate) struct SpecCtx<'a> {
     spec: &'a MemorySpec,
-    tech: &'static Technology,
+    pub(crate) tech: &'static Technology,
     cell: CellParams,
     periph: DeviceParams,
     output_bits: u64,
@@ -35,7 +34,7 @@ struct SpecCtx<'a> {
 }
 
 impl<'a> SpecCtx<'a> {
-    fn new(spec: &'a MemorySpec) -> Result<Self, CactiError> {
+    pub(crate) fn new(spec: &'a MemorySpec) -> Result<Self, CactiError> {
         let tech = Technology::cached(spec.node);
         let tag = if spec.kind.is_cache() {
             Some(Arc::new(tag::design_tag(tech, spec)?))
@@ -53,7 +52,7 @@ impl<'a> SpecCtx<'a> {
         })
     }
 
-    fn build_input(&self, org: &OrgParams) -> ArrayInput {
+    pub(crate) fn build_input(&self, org: &OrgParams) -> ArrayInput {
         ArrayInput {
             rows: org.rows(self.spec),
             cols: org.cols(self.spec),
@@ -70,93 +69,35 @@ impl<'a> SpecCtx<'a> {
             sense_fraction: self.sense_fraction,
         }
     }
-}
 
-/// What the pipeline decided about one enumerated organization. Lint runs
-/// later (serially, in index order), so it is not a candidate outcome.
-enum CandidateOutcome {
-    /// Rejected by the closed-form pre-screen without running the models.
-    BoundPruned,
-    /// Rejected by the full electrical models.
-    ElectricalPruned,
-    /// Survived the models; boxed so the enum stays small for the slots.
-    Feasible(Box<Solution>),
-    /// A model error that poisons the whole solve (bad main-memory spec).
-    Fatal(CactiError),
-}
-
-/// Which pre-screen the staged pipeline runs before the full models.
-#[derive(Clone, Copy)]
-enum Screen<'b> {
-    /// No pre-screen: the debug-only reference path.
-    Off,
-    /// The exact closed-form screen ([`array::prescreen_explain`]).
-    Exact,
-    /// The certified fast path ([`array::prescreen_verdict_with`]):
-    /// identical verdicts, with the closed forms skipped wherever the
-    /// certificate already decides them.
-    Certified(&'b array::CertifiedBounds),
-}
-
-impl Screen<'_> {
-    fn rejects(self, memo: &mut array::EvalMemo, cell: &CellParams, rows: u64, cols: u64) -> bool {
-        match self {
-            Screen::Off => false,
-            // Memoized: the verdict (and the sense signal behind it) is
-            // stored under (rows, cols), so the evaluation of a surviving
-            // candidate reuses it instead of re-running the closed forms —
-            // the staged path used to pay the pre-screen twice per
-            // feasible candidate, which made it *slower* than the
-            // unpruned reference on low-prune sweeps.
-            Screen::Exact => memo.prescreen_cached(cell, rows, cols).is_err(),
-            Screen::Certified(b) => array::prescreen_verdict_with(cell, rows, cols, b).is_err(),
-        }
-    }
-}
-
-/// Evaluates one candidate through the staged pipeline. With the screen on,
-/// the closed-form bounds run first; they are the exact feasibility
-/// conditions `array::evaluate` would check, so pruning here cannot change
-/// the solution set — only skip doomed model evaluations.
-///
-/// `memo` is the per-solve (or per-worker) incremental-evaluation scratch:
-/// screened paths evaluate through it so model slices keyed on unchanged
-/// organization axes are reused across adjacent candidates. The unscreened
-/// reference path deliberately bypasses it — `array::evaluate` runs every
-/// candidate from scratch, keeping the debug oracle's cost and code path
-/// independent of the memo machinery.
-fn evaluate_candidate(
-    ctx: &SpecCtx<'_>,
-    org: OrgParams,
-    screen: Screen<'_>,
-    memo: &mut array::EvalMemo,
-) -> CandidateOutcome {
-    if screen.rejects(memo, &ctx.cell, org.rows(ctx.spec), org.cols(ctx.spec)) {
-        return CandidateOutcome::BoundPruned;
-    }
-    let input = ctx.build_input(&org);
-    let evaluated = match screen {
-        Screen::Off => array::evaluate(ctx.tech, &input),
-        Screen::Exact | Screen::Certified(_) => array::evaluate_incremental(ctx.tech, &input, memo),
-    };
-    let Ok(data) = evaluated else {
-        return CandidateOutcome::ElectricalPruned;
-    };
-    let mm = match ctx.spec.kind {
-        MemoryKind::MainMemory { .. } => {
-            match main_memory::assemble(ctx.tech, ctx.spec, &input, &data) {
-                Ok(mm) => Some(mm),
-                Err(e) => return CandidateOutcome::Fatal(e),
+    /// Turns an electrically feasible array into a candidate solution:
+    /// main memories get the chip-level DRAM assembly, caches share the
+    /// per-spec tag design. An error poisons the whole solve.
+    pub(crate) fn assemble(
+        &self,
+        org: OrgParams,
+        input: &ArrayInput,
+        data: array::ArrayResult,
+    ) -> Result<Solution, CactiError> {
+        let mm = match self.spec.kind {
+            MemoryKind::MainMemory { .. } => {
+                Some(main_memory::assemble(self.tech, self.spec, input, &data)?)
             }
-        }
-        _ => None,
-    };
-    let sol = Solution::assemble(ctx.spec, org, &input, data, ctx.tag.clone(), mm);
-    CandidateOutcome::Feasible(Box::new(sol))
+            _ => None,
+        };
+        Ok(Solution::assemble(
+            self.spec,
+            org,
+            input,
+            data,
+            self.tag.clone(),
+            mm,
+        ))
+    }
 }
 
 /// Applies the lint stage to a surviving candidate; `None` means rejected.
-fn admit(
+pub(crate) fn admit(
     spec: &MemorySpec,
     linter: Option<&dyn SolutionLinter>,
     mut sol: Solution,
@@ -173,7 +114,7 @@ fn admit(
     Some(sol)
 }
 
-/// Counters describing the work one [`solve_with_stats`] call performed.
+/// Counters describing the work one [`solve`] call performed.
 ///
 /// Batch drivers (the `cactid-explore` engine) aggregate these across a
 /// sweep to report how much of the organization space was enumerated, how
@@ -214,7 +155,7 @@ pub struct SolveOutcome {
 /// whether the sweep finished with nothing feasible (the only condition
 /// under which the `no_feasible` counter fires — early fatal errors do
 /// not count as an exhausted sweep).
-fn finish_sweep(
+pub(crate) fn finish_sweep(
     out: Vec<Solution>,
     stats: &mut SolveStats,
 ) -> (Result<Vec<Solution>, CactiError>, bool) {
@@ -234,10 +175,9 @@ fn finish_sweep(
 /// Publishes one solve's worth of batched counters to the process-global
 /// observability registry. The hot loop accumulates into [`SolveStats`]
 /// locally; this is the single flush per solve. `reuse` is the number of
-/// memo-slice hits the incremental evaluation scored (always zero on the
-/// from-scratch reference path); it lives outside [`SolveStats`] because
-/// the stats are compared bitwise across the staged, parallel and
-/// reference paths, whose reuse opportunities legitimately differ.
+/// memo-slice hits the incremental evaluation scored; it lives outside
+/// [`SolveStats`] because the stats are compared bitwise against the
+/// from-scratch reference oracle, which has no memo to reuse.
 fn flush_obs(stats: &SolveStats, swept_empty: bool, reuse: u64) {
     cactid_obs::counter!("core.solve.calls").inc();
     cactid_obs::counter!("core.solve.orgs_enumerated").add(stats.orgs_enumerated as u64);
@@ -251,161 +191,24 @@ fn flush_obs(stats: &SolveStats, swept_empty: bool, reuse: u64) {
     }
 }
 
-/// The serial staged sweep. `screen` selects the pruned pipeline; the
-/// debug-only reference path passes [`Screen::Off`] and pays the full
-/// model cost for every candidate. Returns the outcome, the
-/// exhausted-sweep flag for [`flush_obs`], and the memo-reuse hit count.
-fn sweep_serial(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    screen: Screen<'_>,
-) -> (SolveOutcome, bool, u64) {
+/// Sweeps every feasible organization for `spec` and returns the full
+/// solution set (unfiltered) with the [`SolveStats`] of the sweep.
+///
+/// With a `linter`, every assembled candidate is linted: candidates with
+/// any `Error`-severity diagnostic are rejected from the solution set, and
+/// the survivors carry their non-error diagnostics in
+/// [`Solution::warnings`].
+///
+/// Never panics on infeasible specs: `result` is
+/// [`CactiError::NoFeasibleSolution`] when nothing is feasible, or
+/// [`CactiError::LintRejected`] when candidates existed but the linter
+/// rejected every one of them. Both [`MemorySpec`] and the returned
+/// [`SolveOutcome`] own all their data (`Send`), so batch engines call this
+/// from worker threads.
+pub fn solve(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
+    let _span = cactid_obs::span("core.solve");
     let mut stats = SolveStats::default();
     let mut memo = array::EvalMemo::new();
-    let ctx = match SpecCtx::new(spec) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            return (
-                SolveOutcome {
-                    result: Err(e),
-                    stats,
-                },
-                false,
-                0,
-            )
-        }
-    };
-
-    let mut iter = org::enumerate_lazy(spec);
-    let mut out = Vec::new();
-    while let Some(org) = iter.next() {
-        stats.orgs_enumerated += 1;
-        match evaluate_candidate(&ctx, org, screen, &mut memo) {
-            CandidateOutcome::BoundPruned => stats.bound_pruned += 1,
-            CandidateOutcome::ElectricalPruned => stats.electrical_pruned += 1,
-            CandidateOutcome::Fatal(e) => {
-                // A fatal error always reported the full enumeration count
-                // in the eager implementation; drain the iterator so the
-                // lazy pipeline keeps that contract.
-                stats.orgs_enumerated += iter.count();
-                return (
-                    SolveOutcome {
-                        result: Err(e),
-                        stats,
-                    },
-                    false,
-                    memo.reuse_hits(),
-                );
-            }
-            CandidateOutcome::Feasible(sol) => {
-                if let Some(sol) = admit(spec, linter, *sol, &mut stats) {
-                    out.push(sol);
-                }
-            }
-        }
-    }
-    let (result, swept_empty) = finish_sweep(out, &mut stats);
-    (
-        SolveOutcome { result, stats },
-        swept_empty,
-        memo.reuse_hits(),
-    )
-}
-
-fn solve_inner(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Exact);
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
-}
-
-/// Like [`solve_with_stats`], but the pre-screen consults the certified
-/// cutoffs in `bounds` (produced and proved sound by `cactid-prove`),
-/// skipping the closed-form arithmetic wherever a certificate already
-/// decides the verdict. This is the opt-in entry behind the `cactid
-/// --certified` flag: with any bounds — sound, conservative, or stale —
-/// the solution set, its ordering, and the stats are byte-for-byte
-/// identical to [`solve_with_stats`], because the certified screen falls
-/// back to the identical concrete expressions outside its certified
-/// domain and `array::evaluate` re-checks feasibility on every survivor.
-pub fn solve_with_stats_certified(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    bounds: &array::CertifiedBounds,
-) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Certified(bounds));
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
-}
-
-/// The batch-oriented solver entry point: like [`solve_with`] (or [`solve`]
-/// when `linter` is `None`), but additionally returns the [`SolveStats`] of
-/// the sweep, and never panics on infeasible specs.
-///
-/// Both [`MemorySpec`] and the returned [`SolveOutcome`] own all their data
-/// (`Send`), so this is the function batch engines call from worker
-/// threads.
-pub fn solve_with_stats(spec: &MemorySpec, linter: Option<&dyn SolutionLinter>) -> SolveOutcome {
-    solve_inner(spec, linter)
-}
-
-/// Like [`solve_with_stats`], but fans the candidate evaluations out over
-/// `threads` scoped workers (`0` means the machine's available
-/// parallelism). The merge is serial and in organization-index order —
-/// including the lint stage, which the [`SolutionLinter`] trait does not
-/// require to be thread-safe — so the solution set, its ordering, and the
-/// stats are identical to the serial path. A fatal model error reported by
-/// any candidate poisons the solve exactly as it does serially: stats
-/// merge stops at the first fatal index and the full enumeration count is
-/// still reported.
-///
-/// Below this candidate count the parallel entry point evaluates inline on
-/// the calling thread instead of fanning out: scoped-thread spawn and
-/// synchronization cost more than the models save on tiny sweeps. The
-/// solve-throughput bench measured the 70-candidate COMM-DRAM DIMM sweep
-/// at 0.62x serial speed when fanned out; with the fallback the parallel
-/// entry is exactly the serial evaluation (same outcomes, same merge), so
-/// such sweeps can never regress below 1.0x again.
-pub const PARALLEL_SERIAL_THRESHOLD: usize = 128;
-
-/// Worth reaching for only on sweeps whose model time dominates the
-/// per-thread spawn cost — large main-memory or high-capacity cache specs;
-/// sweeps under [`PARALLEL_SERIAL_THRESHOLD`] candidates run inline, as
-/// does any call on a single-core host (where spinning up the pool can
-/// only lose). Either serial fallback is counted in the
-/// `core.solve.parallel_serial_fallback` observability counter.
-pub fn solve_with_stats_parallel(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-    threads: usize,
-) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    // Single-core hosts first: `host_parallelism() == 1` means the
-    // fan-out machinery can only lose, so skip even the prefix probe and
-    // run the serial sweep directly. Then the sweep-size probe: tiny
-    // sweeps run the actual serial sweep, not a serialized imitation of
-    // the fan-out — same lazy enumeration, no intermediate outcome
-    // buffer. The prefix count costs at most THRESHOLD cheap geometry
-    // steps, so large sweeps pay nothing noticeable for the probe.
-    let effective_threads = if threads == 0 {
-        par::host_parallelism()
-    } else {
-        threads
-    };
-    let serial = effective_threads <= 1
-        || org::enumerate_lazy(spec)
-            .take(PARALLEL_SERIAL_THRESHOLD)
-            .count()
-            < PARALLEL_SERIAL_THRESHOLD;
-    if serial {
-        cactid_obs::counter!("core.solve.parallel_serial_fallback").inc();
-        let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Exact);
-        flush_obs(&outcome.stats, swept_empty, reuse);
-        return outcome;
-    }
-
-    let mut stats = SolveStats::default();
     let ctx = match SpecCtx::new(spec) {
         Ok(ctx) => ctx,
         Err(e) => {
@@ -417,45 +220,49 @@ pub fn solve_with_stats_parallel(
         }
     };
 
-    let orgs = org::enumerate(spec);
-    stats.orgs_enumerated = orgs.len();
-    // Each worker carries its own memo: slice reuse needs no sharing or
-    // locking, and since every slice is a pure function of its key the
-    // per-worker results — and the index-ordered merge below — stay
-    // bitwise identical to the serial sweep however the atomic cursor
-    // happens to partition the candidates.
-    let (outcomes, memos): (Vec<CandidateOutcome>, Vec<array::EvalMemo>) =
-        par::parallel_map_with(threads, orgs.len(), array::EvalMemo::new, |memo, i| {
-            evaluate_candidate(&ctx, orgs[i], Screen::Exact, memo)
-        });
-    let reuse: u64 = memos.iter().map(array::EvalMemo::reuse_hits).sum();
-
+    let mut iter = org::enumerate_lazy(spec);
     let mut out = Vec::new();
-    let mut fatal = None;
-    for outcome in outcomes {
-        match outcome {
-            CandidateOutcome::BoundPruned => stats.bound_pruned += 1,
-            CandidateOutcome::ElectricalPruned => stats.electrical_pruned += 1,
-            CandidateOutcome::Fatal(e) => {
-                fatal = Some(e);
-                break;
-            }
-            CandidateOutcome::Feasible(sol) => {
-                if let Some(sol) = admit(spec, linter, *sol, &mut stats) {
+    while let Some(org) = iter.next() {
+        stats.orgs_enumerated += 1;
+        // The closed-form bounds are the exact feasibility conditions
+        // `array::evaluate` would check, so pruning here cannot change the
+        // solution set — only skip doomed model evaluations. The memo
+        // keeps the verdict (and the sense signal behind it) under
+        // (rows, cols), so a surviving candidate's evaluation reuses it,
+        // and model slices keyed on unchanged organization axes are reused
+        // across adjacent candidates.
+        if memo
+            .prescreen_cached(&ctx.cell, org.rows(spec), org.cols(spec))
+            .is_err()
+        {
+            stats.bound_pruned += 1;
+            continue;
+        }
+        let input = ctx.build_input(&org);
+        let Ok(data) = array::evaluate_incremental(ctx.tech, &input, &mut memo) else {
+            stats.electrical_pruned += 1;
+            continue;
+        };
+        match ctx.assemble(org, &input, data) {
+            Ok(sol) => {
+                if let Some(sol) = admit(spec, linter, sol, &mut stats) {
                     out.push(sol);
                 }
             }
+            Err(e) => {
+                // A fatal error reports the full enumeration count; drain
+                // the iterator so the lazy pipeline keeps that contract.
+                stats.orgs_enumerated += iter.count();
+                flush_obs(&stats, false, memo.reuse_hits());
+                return SolveOutcome {
+                    result: Err(e),
+                    stats,
+                };
+            }
         }
     }
-    if let Some(e) = fatal {
-        flush_obs(&stats, false, reuse);
-        return SolveOutcome {
-            result: Err(e),
-            stats,
-        };
-    }
     let (result, swept_empty) = finish_sweep(out, &mut stats);
-    flush_obs(&stats, swept_empty, reuse);
+    flush_obs(&stats, swept_empty, memo.reuse_hits());
     SolveOutcome { result, stats }
 }
 
@@ -537,7 +344,7 @@ pub struct StaticScreen {
     /// Feasibility verdict.
     pub verdict: ScreenVerdict,
     /// For an [`ScreenVerdict::Infeasible`] spec these are byte-for-byte
-    /// the counters [`solve_with_stats`] would report: every enumerated
+    /// the counters [`solve`] would report: every enumerated
     /// organization bound-pruned, nothing feasible. For a `MaybeFeasible`
     /// spec only `orgs_enumerated` and `bound_pruned` are meaningful (the
     /// real solve decides the rest).
@@ -550,7 +357,7 @@ pub struct StaticScreen {
 /// the per-spec tag design and [`array::prescreen_explain`] over the full
 /// organization enumeration. No circuit model runs and no solve happens:
 /// an [`ScreenVerdict::Infeasible`] verdict is a *proof* that
-/// [`solve_with_stats`] would return the same error with the same stats,
+/// [`solve`] would return the same error with the same stats,
 /// because the screen evaluates exactly the feasibility conditions
 /// [`array::evaluate`] checks first.
 ///
@@ -558,20 +365,6 @@ pub struct StaticScreen {
 /// be classified in microseconds per point, and statically-doomed points
 /// skipped without changing a byte of the output records.
 pub fn static_screen(spec: &MemorySpec) -> StaticScreen {
-    static_screen_inner(spec, None)
-}
-
-/// [`static_screen`] with the certified fast path: where the
-/// [`array::CertifiedBounds`] certificate already decides a check, the
-/// closed form is skipped. The verdict, stats, and per-reason histogram
-/// are identical to [`static_screen`] for any bounds, sound or
-/// conservative — the fast path preserves the check order and falls back
-/// to the concrete expressions outside its certified domain.
-pub fn static_screen_certified(spec: &MemorySpec, bounds: &array::CertifiedBounds) -> StaticScreen {
-    static_screen_inner(spec, Some(bounds))
-}
-
-fn static_screen_inner(spec: &MemorySpec, bounds: Option<&array::CertifiedBounds>) -> StaticScreen {
     cactid_obs::counter!("core.screen.calls").inc();
     let mut stats = SolveStats::default();
     let mut reasons = ScreenHistogram::default();
@@ -592,12 +385,8 @@ fn static_screen_inner(spec: &MemorySpec, bounds: Option<&array::CertifiedBounds
     let mut survivors = 0usize;
     for org in org::enumerate_lazy(spec) {
         stats.orgs_enumerated += 1;
-        let verdict = match bounds {
-            Some(b) => array::prescreen_verdict_with(&cell, org.rows(spec), org.cols(spec), b),
-            None => array::prescreen_explain(&cell, org.rows(spec), org.cols(spec)).map(|_| ()),
-        };
-        match verdict {
-            Ok(()) => survivors += 1,
+        match array::prescreen_explain(&cell, org.rows(spec), org.cols(spec)) {
+            Ok(_) => survivors += 1,
             Err(failure) => {
                 stats.bound_pruned += 1;
                 reasons.record(failure);
@@ -615,48 +404,6 @@ fn static_screen_inner(spec: &MemorySpec, bounds: Option<&array::CertifiedBounds
         stats,
         reasons,
     }
-}
-
-/// The debug-only unpruned reference path: every enumerated candidate runs
-/// through the full electrical models with the pre-screen disabled. Exists
-/// so equivalence tests can prove the staged/pruned pipeline returns
-/// exactly the same solution set — `bound_pruned` here is always zero and
-/// `electrical_pruned` reports what the staged path prunes by bound.
-pub fn solve_with_stats_reference(
-    spec: &MemorySpec,
-    linter: Option<&dyn SolutionLinter>,
-) -> SolveOutcome {
-    let _span = cactid_obs::span("core.solve");
-    let (outcome, swept_empty, reuse) = sweep_serial(spec, linter, Screen::Off);
-    flush_obs(&outcome.stats, swept_empty, reuse);
-    outcome
-}
-
-/// Evaluates every feasible organization for `spec` and returns the full
-/// solution set (unfiltered).
-///
-/// # Errors
-///
-/// Returns [`CactiError::NoFeasibleSolution`] when nothing is feasible.
-pub fn solve(spec: &MemorySpec) -> Result<Vec<Solution>, CactiError> {
-    solve_inner(spec, None).result
-}
-
-/// Like [`solve`], but consults a lint engine on every assembled candidate:
-/// candidates with any `Error`-severity diagnostic are rejected from the
-/// solution set, and the surviving candidates carry their non-error
-/// diagnostics in [`Solution::warnings`].
-///
-/// # Errors
-///
-/// Returns [`CactiError::NoFeasibleSolution`] when nothing is feasible, or
-/// [`CactiError::LintRejected`] when candidates existed but the linter
-/// rejected every one of them.
-pub fn solve_with(
-    spec: &MemorySpec,
-    linter: &dyn SolutionLinter,
-) -> Result<Vec<Solution>, CactiError> {
-    solve_inner(spec, Some(linter)).result
 }
 
 /// Applies the staged optimization of §2.4 to a solution set and returns
@@ -740,28 +487,13 @@ pub fn select(spec: &MemorySpec, solutions: &[Solution]) -> Result<Solution, Cac
         })
 }
 
-/// Convenience: [`solve`] then [`select`].
+/// Convenience: [`solve`] without a linter, then [`select`].
 ///
 /// # Errors
 ///
 /// Propagates [`CactiError::NoFeasibleSolution`] from the sweep.
 pub fn optimize(spec: &MemorySpec) -> Result<Solution, CactiError> {
-    let all = solve(spec)?;
-    select(spec, &all)
-}
-
-/// Convenience: [`solve_with`] then [`select`] — the winner is guaranteed
-/// free of `Error`-severity diagnostics from `linter`.
-///
-/// # Errors
-///
-/// Propagates [`CactiError::NoFeasibleSolution`] or
-/// [`CactiError::LintRejected`] from the sweep.
-pub fn optimize_with(
-    spec: &MemorySpec,
-    linter: &dyn SolutionLinter,
-) -> Result<Solution, CactiError> {
-    let all = solve_with(spec, linter)?;
+    let all = solve(spec, None).result?;
     select(spec, &all)
 }
 
@@ -789,7 +521,7 @@ mod tests {
 
     #[test]
     fn l2_solves_with_many_candidates() {
-        let sols = solve(&l2()).unwrap();
+        let sols = solve(&l2(), None).result.unwrap();
         assert!(sols.len() > 10, "only {} candidates", sols.len());
         for s in &sols {
             assert!(s.access_time > Seconds::ZERO && s.access_time < Seconds::ns(50.0));
@@ -802,7 +534,7 @@ mod tests {
     #[test]
     fn staged_filters_respect_caps() {
         let spec = l2();
-        let sols = solve(&spec).unwrap();
+        let sols = solve(&spec, None).result.unwrap();
         let chosen = select(&spec, &sols).unwrap();
         let best_area = sols
             .iter()
@@ -823,7 +555,7 @@ mod tests {
             max_access_time_overhead: 2.0,
             ..OptimizationOptions::default()
         };
-        let sols = solve(&spec).unwrap();
+        let sols = solve(&spec, None).result.unwrap();
         let energy_pick = select(&spec, &sols).unwrap();
         spec.opt.weight_dynamic = 0.0;
         spec.opt.weight_cycle = 100.0;
@@ -835,23 +567,21 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_stats_counts_the_sweep() {
-        let spec = l2();
-        let out = solve_with_stats(&spec, None);
+    fn solve_counts_the_sweep() {
+        let out = solve(&l2(), None);
         let sols = out.result.unwrap();
         assert_eq!(out.stats.feasible, sols.len());
         assert!(out.stats.orgs_enumerated >= sols.len());
         assert_eq!(out.stats.lint_rejected, 0);
-        assert_eq!(sols, solve(&spec).unwrap(), "stats path changes nothing");
     }
 
     #[test]
-    fn solve_with_stats_reports_orgs_even_on_failure() {
+    fn solve_reports_orgs_even_on_failure() {
         // A spec whose organizations all fail electrically is hard to build
         // via the builder; instead check the error path maps through.
         let mut spec = l2();
         spec.opt.repeater_relax = 1.0;
-        let out = solve_with_stats(&spec, None);
+        let out = solve(&spec, None);
         assert!(out.result.is_ok());
         assert!(out.stats.orgs_enumerated > 0);
     }
@@ -862,7 +592,7 @@ mod tests {
         // the stage-2 `.expect`. NaN areas fail `area <= cap` for every
         // candidate (NaN comparisons are false), emptying both stages.
         let spec = l2();
-        let mut sols = solve(&spec).unwrap();
+        let mut sols = solve(&spec, None).result.unwrap();
         for s in &mut sols {
             s.area = SquareMeters::from_si(f64::NAN);
         }
@@ -872,7 +602,7 @@ mod tests {
             "non-finite areas must yield a typed error, not a panic"
         );
         // Same story when the access times are the poisoned axis.
-        let mut sols = solve(&spec).unwrap();
+        let mut sols = solve(&spec, None).result.unwrap();
         for s in &mut sols {
             s.access_time = Seconds::from_si(f64::NAN);
         }
@@ -883,7 +613,7 @@ mod tests {
     fn solve_publishes_obs_counters() {
         let calls_before = cactid_obs::counter!("core.solve.calls").get();
         let orgs_before = cactid_obs::counter!("core.solve.orgs_enumerated").get();
-        let out = solve_with_stats(&l2(), None);
+        let out = solve(&l2(), None);
         assert!(cactid_obs::counter!("core.solve.calls").get() > calls_before);
         assert!(
             cactid_obs::counter!("core.solve.orgs_enumerated").get()
@@ -898,7 +628,7 @@ mod tests {
     fn static_screen_matches_the_sweep_on_a_feasible_spec() {
         let spec = l2();
         let screen = static_screen(&spec);
-        let out = solve_with_stats(&spec, None);
+        let out = solve(&spec, None);
         assert_eq!(screen.stats.orgs_enumerated, out.stats.orgs_enumerated);
         assert_eq!(screen.stats.bound_pruned, out.stats.bound_pruned);
         assert_eq!(screen.reasons.total(), screen.stats.bound_pruned);

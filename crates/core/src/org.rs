@@ -140,7 +140,7 @@ fn bl_mux_choices(is_dram: bool, mux_needed: u64) -> impl Iterator<Item = u32> {
 /// produced them: `nspd` outermost, then `ndwl` and `ndbl` over powers of
 /// two, then the bitline/sense-amp mux split. The solver's staged pipeline
 /// consumes this iterator directly so rejected candidates never occupy
-/// memory; [`enumerate`] collects it for callers that need a `Vec`.
+/// memory.
 ///
 /// Organizations whose stripe does not divide evenly — a fractional
 /// `set_bits × nspd` product, or a stripe not divisible by `ndwl` — are
@@ -221,12 +221,6 @@ pub fn enumerate_lazy(spec: &MemorySpec) -> impl Iterator<Item = OrgParams> {
         })
 }
 
-/// Eagerly enumerates every structurally feasible [`OrgParams`] for `spec`:
-/// [`enumerate_lazy`] collected into a `Vec`, in the same order.
-pub fn enumerate(spec: &MemorySpec) -> Vec<OrgParams> {
-    enumerate_lazy(spec).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +245,7 @@ mod tests {
     #[test]
     fn enumeration_is_nonempty_and_consistent() {
         let spec = l2_spec();
-        let orgs = enumerate(&spec);
+        let orgs: Vec<_> = enumerate_lazy(&spec).collect();
         assert!(!orgs.is_empty());
         for org in &orgs {
             let rows = org.rows(&spec);
@@ -283,7 +277,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        for org in enumerate(&spec) {
+        for org in enumerate_lazy(&spec) {
             assert_eq!(org.deg_bl_mux, 1, "destructive readout forbids bl-mux");
         }
     }
@@ -304,7 +298,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let orgs = enumerate(&spec);
+        let orgs: Vec<_> = enumerate_lazy(&spec).collect();
         assert!(!orgs.is_empty());
         for org in &orgs {
             assert_eq!(org.stripe_bits(&spec), 8192);
@@ -317,7 +311,7 @@ mod tests {
     #[test]
     fn distinct_candidates() {
         let spec = l2_spec();
-        let orgs = enumerate(&spec);
+        let orgs: Vec<_> = enumerate_lazy(&spec).collect();
         for (i, a) in orgs.iter().enumerate() {
             for b in orgs.iter().skip(i + 1) {
                 assert!(a != b, "duplicate organization {a:?}");
@@ -366,7 +360,7 @@ mod tests {
             deg_sa_mux: 1,
         };
         assert_eq!(quarter.stripe_bits(&spec), 384, "no silent floor");
-        let orgs = enumerate(&spec);
+        let orgs: Vec<_> = enumerate_lazy(&spec).collect();
         assert!(!orgs.is_empty());
         for org in &orgs {
             let stripe = org.stripe_bits(&spec);

@@ -1,25 +1,17 @@
-//! A minimal hermetic scoped-thread fan-out for intra-spec parallelism.
+//! Hermetic threading primitives shared across the workspace.
 //!
 //! The workspace carries zero registry dependencies, so instead of rayon
-//! this module provides the one primitive the staged solver needs: N scoped
-//! `std::thread` workers claiming candidate indices off a shared atomic
-//! cursor and depositing results into index-addressed slots. It is the same
-//! shape as `explore::pool`, minus that pool's observability plumbing —
-//! intra-spec fan-out sits inside the `core.solve` span and must not
-//! perturb the per-solve counter contract.
-//!
-//! The module is public: downstream layers (batch engines, long-running
-//! services) reuse the same primitive for small index-addressed fan-outs
-//! instead of growing a second pool implementation.
-//!
-//! [`run_epochs`] is the second primitive: a persistent lock-step team
-//! for the sharded simulator. The team owns the caller's states between
-//! its workers, one contiguous group each, and hands all of them to the
-//! coordinator between epochs; a group's `Mutex` is taken once per phase
-//! and never contended. Workers meet at a spin-then-park barrier whose
-//! spin budget outlasts an epoch, so a team in step never sleeps in the
-//! kernel, and a panic in any phase poisons the barrier so the panic
-//! propagates instead of leaving the team waiting forever.
+//! this module provides what the engines need on top of `std::thread`:
+//! [`host_parallelism`], the cached CPU budget that the explore pool
+//! (which the serve service and the paper study run on) and the
+//! simulator's worker policy size themselves by, and [`run_epochs`], a persistent lock-step team for the sharded
+//! simulator. The team owns the caller's states between its workers, one
+//! contiguous group each, and hands all of them to the coordinator
+//! between epochs; a group's `Mutex` is taken once per phase and never
+//! contended. Workers meet at a spin-then-park barrier whose spin budget
+//! outlasts an epoch, so a team in step never sleeps in the kernel, and a
+//! panic in any phase poisons the barrier so the panic propagates instead
+//! of leaving the team waiting forever.
 
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,101 +22,13 @@ use std::time::{Duration, Instant};
 ///
 /// `std::thread::available_parallelism` is not a cheap getter on Linux —
 /// it reads the cgroup filesystem to honor CPU quotas, which costs
-/// microseconds per call. Per-solve callers (the single-core fallback in
-/// `solve_with_stats_parallel` runs on every solve of a small sweep)
-/// would pay that syscall tax against solves that themselves take tens
-/// of microseconds, so the answer is cached for the process lifetime.
+/// microseconds per call. Callers that size a pool per request or per
+/// simulation would pay that syscall tax against work that itself takes
+/// tens of microseconds, so the answer is cached for the process
+/// lifetime.
 pub fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
-/// Runs `work(i)` for every `i in 0..n` on `threads` workers and returns
-/// the results in index order regardless of completion order.
-///
-/// * `threads == 0` is taken as the machine's available parallelism; the
-///   effective count is clamped to `n`.
-/// * With one effective thread everything runs inline on the caller's
-///   thread in index order — no spawning, so single-threaded calls are
-///   exactly as deterministic and cheap as a plain loop.
-pub fn parallel_map<R, F>(threads: usize, n: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    parallel_map_with(threads, n, || (), |(), i| work(i)).0
-}
-
-/// [`parallel_map`] with per-worker state: every worker (or the calling
-/// thread, on the inline path) builds one `S` via `init` and threads it
-/// mutably through each `work(&mut state, i)` call it claims. Returns the
-/// index-ordered results plus the worker states, in no particular order —
-/// callers aggregate over them (e.g. summing memo-reuse counters).
-///
-/// The staged solver hands each worker its own incremental-evaluation
-/// memo this way: no sharing, no locking, and because every memo slice is
-/// a pure function of its key, results are bitwise independent of how the
-/// atomic cursor partitions indices across workers.
-pub fn parallel_map_with<S, R, I, F>(threads: usize, n: usize, init: I, work: F) -> (Vec<R>, Vec<S>)
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let threads = if threads == 0 {
-        host_parallelism()
-    } else {
-        threads
-    }
-    .min(n.max(1));
-    if threads <= 1 {
-        let mut state = init();
-        let out = (0..n).map(|i| work(&mut state, i)).collect();
-        return (out, vec![state]);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots = Mutex::new({
-        let mut v: Vec<Option<R>> = Vec::with_capacity(n);
-        v.resize_with(n, || None);
-        v
-    });
-    let states = Mutex::new(Vec::with_capacity(threads));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = work(&mut state, i);
-                    // A panicking worker already aborts the scope; recover
-                    // the guard so an unrelated poisoned lock cannot
-                    // double-panic.
-                    slots
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(r);
-                }
-                states
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(state);
-            });
-        }
-    });
-    let out = slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| unreachable!("every index is claimed exactly once")))
-        .collect();
-    let states = states
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    (out, states)
 }
 
 /// How long a waiter at the epoch barrier spins before it parks. It is
@@ -402,44 +306,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_arrive_in_index_order() {
-        let seq: Vec<usize> = (0..257).map(|i| i * i).collect();
-        for threads in [0, 1, 2, 8, 64] {
-            assert_eq!(parallel_map(threads, 257, |i| i * i), seq);
-        }
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs_are_fine() {
-        assert!(parallel_map::<usize, _>(8, 0, |i| i).is_empty());
-        assert_eq!(parallel_map(8, 1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn worker_states_partition_the_work() {
-        // Each worker counts the indices it claimed; the returned states
-        // must account for every index exactly once, and the inline path
-        // must hand back exactly one state.
-        for threads in [1, 4] {
-            let (out, states) = parallel_map_with(
-                threads,
-                100,
-                || 0usize,
-                |count, i| {
-                    *count += 1;
-                    i * 2
-                },
-            );
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-            assert!(states.len() <= threads.max(1));
-            assert_eq!(states.iter().sum::<usize>(), 100);
-            if threads == 1 {
-                assert_eq!(states, vec![100]);
-            }
-        }
-    }
-
-    #[test]
     fn run_epochs_alternates_worker_and_coordinate_phases() {
         // Each epoch every worker increments each state of its group;
         // coordinate checks every state advanced exactly once per epoch
@@ -563,16 +429,5 @@ mod tests {
         });
         let msg = outcome.expect("run_epochs hung after a coordinator panic");
         assert_eq!(msg.as_deref(), Some("coordinator failed at epoch 3"));
-    }
-
-    #[test]
-    fn every_index_is_worked_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let out = parallel_map(4, 100, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 100);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 }

@@ -42,7 +42,7 @@ pub struct Solution {
     /// Total refresh power, all banks (0 for SRAM).
     pub refresh_power: Watts,
     /// Non-error diagnostics attached by the lint engine when the solver
-    /// runs with one (see `solve_with`); empty otherwise.
+    /// runs with one (see [`crate::solve`]); empty otherwise.
     pub warnings: Vec<Diagnostic>,
 }
 
@@ -250,7 +250,7 @@ mod tests {
             },
             CellTechnology::LpDram,
         );
-        for sol in solve(&s).unwrap() {
+        for sol in solve(&s, None).result.unwrap() {
             let tag_cycle = sol.tag.as_ref().unwrap().array.random_cycle;
             assert!(sol.random_cycle >= tag_cycle - Seconds::from_si(1e-15));
             assert!(sol.random_cycle >= sol.data.random_cycle - Seconds::from_si(1e-15));

@@ -1,13 +1,13 @@
 //! The staged-pipeline determinism contract (DESIGN.md §14): the pruned
-//! pipeline, the debug-only unpruned reference, and the parallel fan-out
-//! must all return exactly the same solution set in the same order, and
-//! the pre-screen must account for precisely the candidates the full
-//! models would have rejected.
+//! pipeline and the unpruned reference oracle must return exactly the
+//! same solution set in the same order, with or without a linter, and the
+//! pre-screen must account for precisely the candidates the full models
+//! would have rejected.
 
+use cactid_core::reference::solve_unpruned;
 use cactid_core::{
-    array, org, solve_with_stats, solve_with_stats_certified, solve_with_stats_parallel,
-    solve_with_stats_reference, AccessMode, MemoryKind, MemorySpec, Solution,
-    PARALLEL_SERIAL_THRESHOLD,
+    array, org, solve, AccessMode, CactiError, Diagnostic, Location, MemoryKind, MemorySpec,
+    Solution, SolutionLinter,
 };
 use cactid_tech::{CellTechnology, TechNode, Technology};
 
@@ -66,127 +66,90 @@ fn assert_identical_sets(label: &str, a: &[Solution], b: &[Solution]) {
     }
 }
 
+/// A linter that drives every branch of the lint stage: it rejects every
+/// COMM-DRAM candidate (so that sweep ends in `LintRejected`) and, on the
+/// other specs, every candidate with more than four wordline divisions;
+/// it warns on more than four bitline divisions.
+struct SplitLinter;
+
+impl SolutionLinter for SplitLinter {
+    fn lint_candidate(&self, spec: &MemorySpec, sol: &Solution) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        if spec.cell_tech == CellTechnology::CommDram || sol.org.ndwl > 4 {
+            diags.push(Diagnostic::error(
+                "CD9901",
+                Location::org("ndwl"),
+                "rejected by the test linter",
+            ));
+        }
+        if sol.org.ndbl > 4 {
+            diags.push(Diagnostic::warn(
+                "CD9902",
+                Location::org("ndbl"),
+                "flagged by the test linter",
+            ));
+        }
+        diags
+    }
+}
+
 #[test]
 fn staged_solve_equals_the_unpruned_reference() {
-    for (label, spec) in [
-        ("sram-l2", sram_l2()),
-        ("lp-dram-l3", lp_dram_l3()),
-        ("comm-dram", comm_dram_smoke()),
-    ] {
-        let staged = solve_with_stats(&spec, None);
-        let reference = solve_with_stats_reference(&spec, None);
-        assert_identical_sets(
-            label,
-            staged.result.as_ref().unwrap(),
-            reference.result.as_ref().unwrap(),
-        );
-        assert_eq!(
-            staged.stats.orgs_enumerated, reference.stats.orgs_enumerated,
-            "{label}: enumeration counts differ"
-        );
-        assert_eq!(
-            staged.stats.feasible, reference.stats.feasible,
-            "{label}: feasible counts differ"
-        );
-        // The pre-screen is exact: what it prunes by bound is precisely
-        // what the reference pipeline prunes electrically, and nothing
-        // slips past it into the full models.
-        assert_eq!(
-            staged.stats.bound_pruned, reference.stats.electrical_pruned,
-            "{label}: the pre-screen does not account for the model rejections"
-        );
-        assert_eq!(staged.stats.electrical_pruned, 0, "{label}");
-        assert_eq!(reference.stats.bound_pruned, 0, "{label}");
-    }
-}
-
-#[test]
-fn parallel_solve_equals_serial_at_every_thread_count() {
-    for (label, spec) in [("sram-l2", sram_l2()), ("comm-dram", comm_dram_smoke())] {
-        let serial = solve_with_stats(&spec, None);
-        for threads in [1, 2, 8] {
-            let par = solve_with_stats_parallel(&spec, None, threads);
-            assert_identical_sets(
-                label,
-                serial.result.as_ref().unwrap(),
-                par.result.as_ref().unwrap(),
+    let (mut warned, mut all_rejected) = (0usize, 0usize);
+    for linter in [None, Some(&SplitLinter as &dyn SolutionLinter)] {
+        for (label, spec) in [
+            ("sram-l2", sram_l2()),
+            ("lp-dram-l3", lp_dram_l3()),
+            ("comm-dram", comm_dram_smoke()),
+        ] {
+            let staged = solve(&spec, linter);
+            let reference = solve_unpruned(&spec, linter);
+            match (&staged.result, &reference.result) {
+                (Ok(a), Ok(b)) => {
+                    assert_identical_sets(label, a, b);
+                    warned += a.iter().filter(|s| !s.warnings.is_empty()).count();
+                }
+                (a, b) => {
+                    assert_eq!(a.as_ref().err(), b.as_ref().err(), "{label}");
+                    assert!(
+                        matches!(a, Err(CactiError::LintRejected(_))),
+                        "{label}: {a:?}"
+                    );
+                    all_rejected += 1;
+                }
+            }
+            assert_eq!(
+                staged.stats.orgs_enumerated, reference.stats.orgs_enumerated,
+                "{label}: enumeration counts differ"
             );
             assert_eq!(
-                serial.stats, par.stats,
-                "{label}: stats diverge at {threads} threads"
+                staged.stats.feasible, reference.stats.feasible,
+                "{label}: feasible counts differ"
             );
+            assert_eq!(
+                staged.stats.lint_rejected, reference.stats.lint_rejected,
+                "{label}: lint-rejection counts differ"
+            );
+            assert_eq!(staged.stats.lint_rejected > 0, linter.is_some(), "{label}");
+            // The pre-screen is exact: what it prunes by bound is precisely
+            // what the reference pipeline prunes electrically, and nothing
+            // slips past it into the full models.
+            assert_eq!(
+                staged.stats.bound_pruned, reference.stats.electrical_pruned,
+                "{label}: the pre-screen does not account for the model rejections"
+            );
+            assert_eq!(staged.stats.electrical_pruned, 0, "{label}");
+            assert_eq!(reference.stats.bound_pruned, 0, "{label}");
         }
     }
-}
-
-/// The solve-throughput bench's COMM-DRAM DIMM spec (1 GB chip): its
-/// 70-candidate sweep sits under [`PARALLEL_SERIAL_THRESHOLD`], so the
-/// parallel entry point must take the inline serial path.
-fn comm_dram_dimm() -> MemorySpec {
-    MemorySpec::builder()
-        .capacity_bytes(1 << 30)
-        .block_bytes(8)
-        .banks(8)
-        .cell_tech(CellTechnology::CommDram)
-        .node(TechNode::N78)
-        .kind(MemoryKind::MainMemory {
-            io_bits: 8,
-            burst_length: 8,
-            prefetch: 8,
-            page_bits: 8 << 10,
-        })
-        .build()
-        .unwrap()
-}
-
-/// The certified screen with *proved* bounds returns exactly what the
-/// exact staged screen returns — same solutions, same stats, same
-/// rejection accounting. This is the wiring contract for `--certified`:
-/// the proof only licenses skipping closed forms, never changing answers.
-#[test]
-fn certified_solve_equals_the_staged_solve_with_proved_bounds() {
-    for (label, spec) in [
-        ("sram-l2", sram_l2()),
-        ("lp-dram-l3", lp_dram_l3()),
-        ("comm-dram", comm_dram_smoke()),
-    ] {
-        let bounds = cactid_prove::certified_bounds(spec.node, spec.cell_tech);
-        let staged = solve_with_stats(&spec, None);
-        let certified = solve_with_stats_certified(&spec, None, &bounds);
-        assert_identical_sets(
-            label,
-            staged.result.as_ref().unwrap(),
-            certified.result.as_ref().unwrap(),
-        );
-        assert_eq!(
-            staged.stats, certified.stats,
-            "{label}: certified stats diverge"
-        );
-    }
-}
-
-/// Small sweeps take the serial path inside the parallel entry point, so
-/// the 0.62x COMM-DRAM DIMM regression the solve bench recorded cannot
-/// recur: below the threshold the two entry points are the same code.
-#[test]
-fn comm_dram_dimm_sweep_falls_back_to_serial() {
-    let spec = comm_dram_dimm();
-    let serial = solve_with_stats(&spec, None);
     assert!(
-        serial.stats.orgs_enumerated < PARALLEL_SERIAL_THRESHOLD,
-        "the DIMM sweep grew past the serial-fallback threshold: {} >= {}",
-        serial.stats.orgs_enumerated,
-        PARALLEL_SERIAL_THRESHOLD
+        warned > 0,
+        "the test linter warned on no surviving candidate"
     );
-    for threads in [0, 2, 8] {
-        let par = solve_with_stats_parallel(&spec, None, threads);
-        assert_identical_sets(
-            "comm-dram-dimm",
-            serial.result.as_ref().unwrap(),
-            par.result.as_ref().unwrap(),
-        );
-        assert_eq!(serial.stats, par.stats, "threads={threads}");
-    }
+    assert_eq!(
+        all_rejected, 1,
+        "only the linted COMM-DRAM sweep is all rejected"
+    );
 }
 
 /// A 192 KB 3-way SRAM cache: the odd associativity drives the sweep
@@ -262,7 +225,7 @@ fn incremental_evaluation_matches_from_scratch_at_every_axis_boundary() {
 
 #[test]
 fn bound_pruning_fires_on_the_comm_dram_smoke_spec() {
-    let out = solve_with_stats(&comm_dram_smoke(), None);
+    let out = solve(&comm_dram_smoke(), None);
     assert!(out.result.is_ok());
     assert!(
         out.stats.bound_pruned > 0,

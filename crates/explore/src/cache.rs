@@ -16,7 +16,7 @@
 //! duplicated work by pre-grouping its points per fingerprint.
 
 use crate::hash::spec_fingerprint;
-use cactid_core::{select, solve_with_stats, CactiError, MemorySpec, Solution};
+use cactid_core::{select, solve, CactiError, MemorySpec, Solution};
 use cactid_core::{SolutionLinter, SolveStats};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -104,7 +104,7 @@ impl SolveCache {
         cactid_obs::counter!("explore.cache.misses").inc();
         // Solve outside the lock; expensive points must not serialize the
         // rest of the pool.
-        let outcome = solve_with_stats(spec, linter);
+        let outcome = solve(spec, linter);
         let entry = CachedSolve {
             result: outcome.result.and_then(|sols| select(spec, &sols)),
             stats: outcome.stats,

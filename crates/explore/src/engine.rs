@@ -28,8 +28,8 @@ use crate::record;
 pub use crate::record::PointStatus;
 use crate::resume;
 use crate::stats::EngineStats;
-use cactid_core::{CertifiedBounds, SolutionLinter};
-use cactid_tech::{CellTechnology, TechNode, Technology};
+use cactid_core::SolutionLinter;
+use cactid_tech::Technology;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -50,11 +50,6 @@ pub struct ExploreConfig<'a> {
     pub resume: bool,
     /// Extract the Pareto frontier and annotate `ok` records.
     pub pareto: bool,
-    /// Statically screen unique specs before the solve stage and skip the
-    /// ones proven infeasible ([`cactid_core::static_screen`]). Skipped
-    /// points render byte-identical records to a real solve of an
-    /// infeasible point, so output files are unaffected.
-    pub audit: bool,
     /// Lint engine consulted on every candidate (shared across workers).
     pub linter: Option<&'a (dyn SolutionLinter + Sync)>,
     /// Solve memo to populate and consult. `None` (the default) gives the
@@ -74,7 +69,6 @@ impl fmt::Debug for ExploreConfig<'_> {
             .field("out", &self.out)
             .field("resume", &self.resume)
             .field("pareto", &self.pareto)
-            .field("audit", &self.audit)
             .field("linter", &self.linter.map(|_| "dyn SolutionLinter"))
             .field("cache", &self.cache.map(|_| "SolveCache"))
             .finish()
@@ -241,51 +235,6 @@ pub fn explore(grid: &Grid, config: &ExploreConfig<'_>) -> Result<ExploreReport,
         }
     }
     stats.unique_specs = jobs.len();
-
-    // Optional static screen: prove unique specs infeasible with the exact
-    // closed-form checks the solve itself would apply, and retire their
-    // whole groups without touching the solver. The rendered records carry
-    // the screen's sweep counters, which match a real infeasible solve
-    // exactly, so the output stays byte-identical.
-    if config.audit {
-        let _audit_span = cactid_obs::span("explore.audit");
-        // One interval scan per (node, cell) pair covers every spec that
-        // shares the technology; the certified screen gives the same
-        // verdicts, stats, and reason histogram as the exact one for any
-        // bounds, so the rendered records stay byte-identical.
-        let mut proved: HashMap<(TechNode, CellTechnology), CertifiedBounds> = HashMap::new();
-        let mut kept = Vec::with_capacity(jobs.len());
-        for group in std::mem::take(&mut jobs) {
-            let Ok(spec) = points[group[0]].spec.as_ref() else {
-                unreachable!("job specs are valid")
-            };
-            let bounds = proved
-                .entry((spec.node, spec.cell_tech))
-                .or_insert_with(|| cactid_prove::certified_bounds(spec.node, spec.cell_tech));
-            let screen = cactid_core::static_screen_certified(spec, bounds);
-            match screen.verdict {
-                cactid_core::ScreenVerdict::Infeasible(err) => {
-                    let solved = crate::cache::CachedSolve {
-                        result: Err(err),
-                        stats: screen.stats,
-                    };
-                    let status = record::solved_status(&solved);
-                    for &idx in &group {
-                        let line = record::render_solved(&points[idx], &solved);
-                        if let Some(s) = sidecars.as_mut() {
-                            s.record(idx, &line, status, None)?;
-                        }
-                        lines[idx] = Some(line);
-                        statuses[idx] = Some(status);
-                    }
-                    stats.audit_skipped += group.len();
-                }
-                cactid_core::ScreenVerdict::MaybeFeasible { .. } => kept.push(group),
-            }
-        }
-        jobs = kept;
-        cactid_obs::counter!("explore.engine.audit_skipped").add(stats.audit_skipped as u64);
-    }
 
     // Injected handle or a run-private memo: the run-private default keeps
     // the historical behavior (and the determinism tests' bytes) intact.

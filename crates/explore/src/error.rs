@@ -10,7 +10,7 @@ pub enum ExploreError {
     EmptyAxis(&'static str),
     /// The grid expands to more points than the engine is willing to queue.
     TooManyPoints {
-        /// Number of points the grid expands to.
+        /// Number of points the grid expands to, saturated at `usize::MAX`.
         points: usize,
         /// The engine's ceiling.
         max: usize,

@@ -117,24 +117,8 @@ impl Grid {
         }
     }
 
-    /// The number of points the grid expands to (`0` if any axis is empty).
-    pub fn len(&self) -> usize {
-        self.capacities.len()
-            * self.blocks.len()
-            * self.associativities.len()
-            * self.banks.len()
-            * self.nodes.len()
-            * self.cells.len()
-            * self.opts.len()
-    }
-
-    /// `true` when any axis is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn check_axes(&self) -> Result<(), ExploreError> {
-        let axes: [(&'static str, usize); 7] = [
+    fn axis_lens(&self) -> [(&'static str, usize); 7] {
+        [
             ("capacities", self.capacities.len()),
             ("blocks", self.blocks.len()),
             ("associativities", self.associativities.len()),
@@ -142,8 +126,30 @@ impl Grid {
             ("nodes", self.nodes.len()),
             ("cells", self.cells.len()),
             ("opts", self.opts.len()),
-        ];
-        for (name, len) in axes {
+        ]
+    }
+
+    /// The number of points the grid expands to: `0` if any axis is
+    /// empty, and `usize::MAX` when the product of the axis lengths does
+    /// not fit in a `usize` (axis lengths come from outside the program,
+    /// so a wrapped count must never slip under [`MAX_POINTS`]).
+    pub fn len(&self) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        self.axis_lens()
+            .iter()
+            .try_fold(1usize, |acc, &(_, n)| acc.checked_mul(n))
+            .unwrap_or(usize::MAX)
+    }
+
+    /// `true` when any axis is empty.
+    pub fn is_empty(&self) -> bool {
+        self.axis_lens().iter().any(|&(_, n)| n == 0)
+    }
+
+    fn check_axes(&self) -> Result<(), ExploreError> {
+        for (name, len) in self.axis_lens() {
             if len == 0 {
                 return Err(ExploreError::EmptyAxis(name));
             }
@@ -351,5 +357,24 @@ mod tests {
             g.expand().unwrap_err(),
             ExploreError::TooManyPoints { .. }
         ));
+        // 1024 values on six axes and 16 opts make 2^64 points, which
+        // wraps a plain product to 0: the count must saturate instead.
+        let mut g = Grid::new();
+        g.capacities = vec![64 << 10; 1024];
+        g.blocks = vec![64; 1024];
+        g.associativities = vec![8; 1024];
+        g.banks = vec![1; 1024];
+        g.nodes = vec![TechNode::N32; 1024];
+        g.cells = vec![CellTechnology::Sram; 1024];
+        g.opts = vec![OptVariant::default_variant(); 16];
+        assert_eq!(g.len(), usize::MAX);
+        assert!(!g.is_empty());
+        assert_eq!(
+            g.expand().unwrap_err(),
+            ExploreError::TooManyPoints {
+                points: usize::MAX,
+                max: MAX_POINTS
+            }
+        );
     }
 }

@@ -5,14 +5,12 @@ use std::time::Duration;
 /// What one [`crate::explore`] run did, stage by stage.
 ///
 /// The point-accounting invariant is
-/// `solved + memoized + resumed + audit_skipped + invalid == points`:
-/// every grid point is either solved fresh, served from the in-run memo
-/// (a duplicate spec), restored from a checkpoint, statically proven
-/// infeasible by the audit screen, or structurally invalid — the five
-/// buckets are disjoint, so an invalid point restored from a checkpoint
-/// counts under `invalid`, not `resumed`. The `ok` / `infeasible` split
-/// then classifies the non-invalid points by whether a winner existed
-/// (audit-skipped points always land under `infeasible`).
+/// `solved + memoized + resumed + invalid == points`: every grid point is
+/// either solved fresh, served from the in-run memo (a duplicate spec),
+/// restored from a checkpoint, or structurally invalid — the four buckets
+/// are disjoint, so an invalid point restored from a checkpoint counts
+/// under `invalid`, not `resumed`. The `ok` / `infeasible` split then
+/// classifies the non-invalid points by whether a winner existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Total grid points in the expansion.
@@ -26,9 +24,6 @@ pub struct EngineStats {
     /// Valid points restored from the checkpoint without re-solving
     /// (restored invalid points count under `invalid` instead).
     pub resumed: usize,
-    /// Points retired by the static audit screen without calling the
-    /// solver ([`crate::ExploreConfig::audit`]).
-    pub audit_skipped: usize,
     /// Points whose axis combination failed spec validation, whether
     /// rendered fresh this run or restored from the checkpoint.
     pub invalid: usize,
@@ -62,8 +57,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Checks the point-accounting invariant.
     pub fn balanced(&self) -> bool {
-        self.solved + self.memoized + self.resumed + self.audit_skipped + self.invalid
-            == self.points
+        self.solved + self.memoized + self.resumed + self.invalid == self.points
             && self.ok + self.infeasible + self.invalid == self.points
     }
 
@@ -72,7 +66,7 @@ impl EngineStats {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         format!(
             "cactid-explore: {} points ({} unique specs)\n  \
-             solved {}, memoized {}, resumed {}, audit-skipped {}, invalid {}\n  \
+             solved {}, memoized {}, resumed {}, invalid {}\n  \
              status: {} ok, {} infeasible\n  \
              orgs enumerated {}, bound-pruned {}, lint-rejected {}, tech constructions {}\n  \
              pareto frontier: {} points{}\n  \
@@ -82,7 +76,6 @@ impl EngineStats {
             self.solved,
             self.memoized,
             self.resumed,
-            self.audit_skipped,
             self.invalid,
             self.ok,
             self.infeasible,
@@ -125,22 +118,6 @@ mod tests {
         assert!(s.balanced());
         s.ok = 9;
         assert!(!s.balanced());
-    }
-
-    #[test]
-    fn audit_skipped_points_count_in_the_claim_partition() {
-        let s = EngineStats {
-            points: 10,
-            solved: 4,
-            memoized: 1,
-            audit_skipped: 4,
-            invalid: 1,
-            ok: 5,
-            infeasible: 4,
-            ..EngineStats::default()
-        };
-        assert!(s.balanced());
-        assert!(s.render().contains("audit-skipped 4"));
     }
 
     #[test]

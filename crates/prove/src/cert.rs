@@ -341,10 +341,8 @@ fn extract_bounds(
     }
 }
 
-/// Certified prescreen cutoffs for one `(node, cell)` pair — the
-/// memoizable entry the explore engine and the `--certified` solve path
-/// consume. Conservative (a no-op for the fast paths) when the scan finds
-/// any unsoundness.
+/// Certified prescreen cutoffs for one `(node, cell)` pair. Conservative
+/// (a no-op for the fast path) when the scan finds any unsoundness.
 #[must_use]
 pub fn certified_bounds(node: TechNode, cell_tech: CellTechnology) -> CertifiedBounds {
     certify(&Domain::for_node(node, cell_tech)).bounds
@@ -477,9 +475,9 @@ mod tests {
 
     #[test]
     fn certified_bounds_agree_with_the_concrete_screen_everywhere() {
-        // The production guarantee behind the `--certified` flag, checked
-        // densely: the certified verdict (and reason) equals the concrete
-        // screen's at every point of a cols × rows grid.
+        // The soundness claim of the certified cutoffs, checked densely:
+        // the certified verdict (and reason) equals the concrete screen's
+        // at every point of a cols × rows grid.
         for &(node, tech) in &[
             (TechNode::N32, CellTechnology::Sram),
             (TechNode::N78, CellTechnology::CommDram),
@@ -534,7 +532,7 @@ mod tests {
         };
         // One-sided soundness: every feasible solution's access time and
         // read energy sit at or above the certified component floor.
-        for sol in solve(&spec).unwrap() {
+        for sol in solve(&spec, None).result.unwrap() {
             assert!(
                 sol.access_time >= t.lo(),
                 "{} < {}",

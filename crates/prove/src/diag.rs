@@ -1,11 +1,11 @@
 //! Prover findings as `CD02xx` diagnostics, in the same record types the
 //! lint pipeline renders (`cactid_core::lint`), so `cactid prove --format
 //! json` emits the exact one-object-per-line schema the `lint` and
-//! `--audit` paths already publish.
+//! `audit` subcommands already publish.
 //!
 //! The prover does **not** depend on `cactid-analyze` (the analyzer
-//! depends on nothing above `cactid-core`, and the explore engine pulls
-//! both in — an edge in the other direction would cycle). The metric
+//! depends on nothing above `cactid-core`, and the CLI pulls both in —
+//! an edge in the other direction would cycle). The metric
 //! windows it analyzes are therefore supplied by the caller as
 //! [`MetricWindow`] values; the CLI passes the analyzer's shipped
 //! `CD0021`/`CD0022` window constants.
@@ -26,7 +26,7 @@ pub const WINDOW_CODE: &str = "CD0202";
 /// proves no reachable value can ever cross it, so the check never fires.
 pub const DEAD_EDGE_CODE: &str = "CD0203";
 /// `CD0204` (info): certified prescreen bounds were established; the
-/// message carries the cutoffs the `--certified` solve path consumes.
+/// message carries the cutoffs.
 pub const BOUNDS_CODE: &str = "CD0204";
 
 /// Which published metric a window constrains.

@@ -26,11 +26,12 @@
 //!    reachable value can ever cross (`CD0202`/`CD0203`).
 //! 3. **Certified bounds** ([`cert::certified_bounds`]): per-node integer
 //!    cutoffs (`CertifiedBounds`) extracted from the all-pass prefix and
-//!    all-reject suffix of the scan, consumed by the solver's opt-in
-//!    `--certified` fast path — which remains byte-identical by
-//!    construction because unsound scans degrade to the conservative
-//!    element and the fast path falls back to the concrete test anywhere
-//!    outside the certified region.
+//!    all-reject suffix of the scan, reported as `CD0204` and checked
+//!    against the concrete screen through the verdict-only fast path
+//!    `prescreen_verdict_with`, which agrees with it by construction
+//!    because unsound scans degrade to the conservative element and the
+//!    fast path falls back to the concrete test anywhere outside the
+//!    certified region.
 //!
 //! The layering is deliberate: `prove` sits **beside** `cactid-analyze`,
 //! not above it — both depend only on `cactid-core`/`-tech`/`-units`.

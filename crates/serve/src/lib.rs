@@ -49,5 +49,7 @@ pub mod store;
 
 pub use error::ServeError;
 pub use protocol::{parse_request, Request};
-pub use service::{ServeConfig, ServeOutcome, Service, MAX_REQUEST_LINE_BYTES};
+pub use service::{
+    ServeConfig, ServeOutcome, Service, MAX_GRID_POINTS_PER_REQUEST, MAX_REQUEST_LINE_BYTES,
+};
 pub use store::{SolutionStore, STORE_MAGIC};

@@ -23,7 +23,9 @@
 //!   flags (`sizes` required; `blocks`, `assocs`, `banks`, `nodes`,
 //!   `cells`, `opts`, `mode` optional); answered with one record per
 //!   point (grid-local `idx`) and a final `{"id":N,"done":true,...}`
-//!   line.
+//!   line. A grid past
+//!   [`MAX_GRID_POINTS_PER_REQUEST`](crate::MAX_GRID_POINTS_PER_REQUEST)
+//!   points gets one error line instead.
 //! * `stats` / `shutdown` — service introspection and orderly stop.
 //!
 //! Parse failures are not service errors: the caller turns the message

@@ -33,7 +33,7 @@ use cactid_core::MemorySpec;
 use cactid_explore::hash::{spec_canon, spec_fingerprint};
 use cactid_explore::json::JsonObject;
 use cactid_explore::record::{mode_label, render_invalid, render_solved};
-use cactid_explore::{pool, GridPoint, SolveCache};
+use cactid_explore::{pool, ExploreError, GridPoint, SolveCache};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -103,6 +103,14 @@ fn error_line(id: u64, msg: &str) -> String {
 /// so a client that never sends a newline cannot grow the service's
 /// memory.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 10;
+
+/// The most points one `grid` request may expand to. The line cap bounds
+/// what a client can make the service read, not what it can make it
+/// compute: a few hundred bytes of axes can still ask for the explore
+/// engine's full [`cactid_explore::grid::MAX_POINTS`] (a million solves on
+/// the shared pool). Bigger sweeps belong in `cactid explore`. A request
+/// past the cap is answered in-band before its grid is expanded.
+pub const MAX_GRID_POINTS_PER_REQUEST: usize = 4096;
 
 /// Outcome of one [`read_request_line`].
 #[derive(Clone, Copy)]
@@ -244,6 +252,14 @@ impl Service {
     }
 
     fn grid_lines(&self, id: u64, grid: &cactid_explore::Grid) -> Vec<String> {
+        let points = grid.len();
+        if points > MAX_GRID_POINTS_PER_REQUEST {
+            let e = ExploreError::TooManyPoints {
+                points,
+                max: MAX_GRID_POINTS_PER_REQUEST,
+            };
+            return vec![error_line(id, &e.to_string())];
+        }
         let expansion = match grid.expand() {
             Ok(e) => e,
             Err(e) => return vec![error_line(id, &e.to_string())],
@@ -550,6 +566,60 @@ mod tests {
         // the same body without a fresh sweep.
         let (single, _) = svc.handle_line(&solve_req(3));
         assert_eq!(record_body(&single[0]), record_body(&r[0]));
+    }
+
+    /// A `grid` request whose `sizes` axis holds `sizes` copies of 64 KB.
+    fn grid_req(id: u64, sizes: usize) -> String {
+        let sizes = vec!["65536"; sizes].join(",");
+        format!("{{\"id\":{id},\"op\":\"grid\",\"sizes\":[{sizes}]}}")
+    }
+
+    #[test]
+    fn grid_requests_past_the_point_cap_are_answered_in_band() {
+        let svc = memo_only();
+        let (r, _) = svc.handle_line(&grid_req(4, MAX_GRID_POINTS_PER_REQUEST + 1));
+        assert_eq!(r.len(), 1);
+        assert!(
+            r[0].starts_with("{\"id\":4,\"error\":\"grid expands to"),
+            "{}",
+            r[0]
+        );
+        // At the cap the grid is served: every point (one spec, memoized)
+        // plus the done line.
+        let (r, _) = svc.handle_line(&grid_req(5, MAX_GRID_POINTS_PER_REQUEST));
+        assert_eq!(r.len(), MAX_GRID_POINTS_PER_REQUEST + 1);
+        assert_eq!(
+            r[MAX_GRID_POINTS_PER_REQUEST],
+            format!("{{\"id\":5,\"done\":true,\"points\":{MAX_GRID_POINTS_PER_REQUEST}}}")
+        );
+    }
+
+    #[test]
+    fn a_grid_whose_point_count_overflows_gets_an_error_and_serving_continues() {
+        // 1024 values on six axes and 16 opts: 2^64 points, which a plain
+        // product wraps to 0. About 24 KB, well under the line cap.
+        let axis = |v: &str| vec![v; 1024].join(",");
+        let opts = vec!["\"c\""; 16].join(",");
+        let req = format!(
+            "{{\"id\":6,\"op\":\"grid\",\"sizes\":[{}],\"blocks\":[{}],\"assocs\":[{}],\
+             \"banks\":[{}],\"nodes\":[{}],\"cells\":[{}],\"opts\":[{opts}]}}",
+            axis("65536"),
+            axis("64"),
+            axis("8"),
+            axis("1"),
+            axis("32"),
+            axis("\"sram\""),
+        );
+        assert!(req.len() < MAX_REQUEST_LINE_BYTES);
+        let input = format!("{req}\n{}\n", solve_req(7));
+        let mut out = Vec::new();
+        let outcome = memo_only().run_lines(input.as_bytes(), &mut out).unwrap();
+        assert_eq!(outcome.requests, 2);
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[0].starts_with("{\"id\":6,\"error\":"), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"idx\":7,"), "{}", lines[1]);
     }
 
     #[test]

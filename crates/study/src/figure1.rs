@@ -109,7 +109,9 @@ pub fn figure1() -> Vec<Figure1Point> {
             ..OptimizationOptions::default()
         };
         let spec = xeon_spec(opt);
-        let Ok(sols) = solve(&spec) else { continue };
+        let Ok(sols) = solve(&spec, None).result else {
+            continue;
+        };
         let Ok(sol) = cactid_core::select(&spec, &sols) else {
             continue;
         };
@@ -153,7 +155,9 @@ pub fn sparc_point() -> Figure1Point {
         ..OptimizationOptions::default()
     };
     let spec = sparc_spec(opt);
-    let sols = solve(&spec).unwrap_or_else(|e| panic!("the SPARC spec solves: {e}"));
+    let sols = solve(&spec, None)
+        .result
+        .unwrap_or_else(|e| panic!("the SPARC spec solves: {e}"));
     let sol = cactid_core::select(&spec, &sols)
         .unwrap_or_else(|e| unreachable!("solve returned a non-empty set: {e}"));
     Figure1Point {

@@ -54,7 +54,7 @@ fn scaling_shrinks_area_across_nodes() {
 fn every_solution_satisfies_basic_physics() {
     for cell in CellTechnology::ALL {
         let spec = cache_spec(2 << 20, *cell, TechNode::N45);
-        for sol in solve(&spec).unwrap() {
+        for sol in solve(&spec, None).result.unwrap() {
             assert!(sol.access_time > Seconds::ZERO);
             assert!(sol.random_cycle > Seconds::ZERO);
             assert!(sol.interleave_cycle > Seconds::ZERO);

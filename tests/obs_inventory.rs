@@ -128,7 +128,6 @@ fn audit_pipeline_metrics_are_inventoried() {
     for name in [
         "core.screen.calls",
         "core.screen.infeasible",
-        "explore.engine.audit_skipped",
         "explore.audit.points",
     ] {
         assert_eq!(sites.get(name), Some(&"counter"), "{name} call site");

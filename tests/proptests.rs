@@ -75,7 +75,7 @@ fn solutions_are_physical() {
             })
             .build()
             .unwrap();
-        if let Ok(sols) = solve(&spec) {
+        if let Ok(sols) = solve(&spec, None).result {
             for s in sols {
                 assert!(s.access_time.is_finite() && s.access_time.value() > 0.0);
                 assert!(s.area.is_finite() && s.area.value() > 0.0);
@@ -179,13 +179,13 @@ fn cache_eviction_is_set_local() {
     assert_eq!(cache.valid_lines(), 4);
 }
 
-/// The staged/pruned solve pipeline and the debug-only unpruned reference
+/// The staged/pruned solve pipeline and the unpruned reference oracle
 /// produce identical `(org, access_time, area, energy)` tuples for random
 /// valid specs, and the pre-screen accounts for exactly the candidates the
 /// full models reject.
 #[test]
 fn staged_solve_matches_the_unpruned_reference() {
-    use cacti_d::core::{solve_with_stats, solve_with_stats_reference};
+    use cacti_d::core::reference::solve_unpruned;
     let mut rng = XorShift64Star::new(0xCAC7_1D06);
     for _ in 0..CASES {
         let cap_shift = rng.next_in_range(16, 23) as u32;
@@ -203,8 +203,8 @@ fn staged_solve_matches_the_unpruned_reference() {
             })
             .build()
             .unwrap();
-        let staged = solve_with_stats(&spec, None);
-        let reference = solve_with_stats_reference(&spec, None);
+        let staged = solve(&spec, None);
+        let reference = solve_unpruned(&spec, None);
         assert_eq!(
             staged.stats.bound_pruned, reference.stats.electrical_pruned,
             "pre-screen does not account for the model rejections"
@@ -284,21 +284,17 @@ fn prescreen_certificates_and_evaluation_agree_on_random_arrays() {
     }
 }
 
-/// Three-way agreement on random cache specs: `static_screen`, its
-/// certified variant, and the real staged solve see the same organization
-/// population — identical enumeration and bound-prune counts, a provably
+/// Agreement on random cache specs: `static_screen`, the per-org closed
+/// form, and the real staged solve see the same organization population — identical enumeration and bound-prune counts, a provably
 /// infeasible verdict reproduces the solve's exact error and stats, and a
 /// maybe-feasible verdict never over-counts the survivors.
 #[test]
-fn static_screen_certificates_and_solve_agree_on_random_specs() {
+fn static_screen_and_solve_agree_on_random_specs() {
     use cacti_d::core::array::prescreen_explain;
-    use cacti_d::core::{
-        org, solve_with_stats, static_screen, static_screen_certified, ScreenVerdict,
-    };
+    use cacti_d::core::{org, static_screen, ScreenVerdict};
 
     let mut rng = XorShift64Star::new(0xCAC7_1D09);
     let nodes = [TechNode::N90, TechNode::N45, TechNode::N32];
-    let mut proved = std::collections::HashMap::new();
     for _ in 0..CASES / 2 {
         let node = nodes[rng.next_below(3) as usize];
         let cell = CellTechnology::ALL[rng.next_below(3) as usize];
@@ -318,15 +314,6 @@ fn static_screen_certificates_and_solve_agree_on_random_specs() {
             .unwrap();
 
         let screen = static_screen(&spec);
-        let bounds = proved
-            .entry((node, cell))
-            .or_insert_with(|| cacti_d::prove::certified_bounds(node, cell));
-        assert_eq!(
-            screen,
-            static_screen_certified(&spec, bounds),
-            "certified screen diverges for {cell:?}@{node:?} {}B x{assoc}",
-            spec.capacity_bytes
-        );
 
         // The screen's aggregate must restate the per-org closed form.
         let tech = Technology::new(node);
@@ -344,7 +331,7 @@ fn static_screen_certificates_and_solve_agree_on_random_specs() {
         assert_eq!(screen.reasons.total(), rejected);
 
         // And the real solve must see the same population.
-        let solved = solve_with_stats(&spec, None);
+        let solved = solve(&spec, None);
         assert_eq!(solved.stats.orgs_enumerated, enumerated);
         assert_eq!(solved.stats.bound_pruned, rejected);
         match screen.verdict {
@@ -425,42 +412,6 @@ fn incremental_evaluation_carries_no_enumeration_order_dependence() {
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!("feasibility flipped at org {o:?}: {a:?} vs {b:?}"),
             }
-        }
-    }
-}
-
-/// `solve_with_stats_parallel` returns the same solutions in the same
-/// order as the serial staged pipeline, at every thread count.
-#[test]
-fn parallel_solve_ordering_equals_serial() {
-    use cacti_d::core::{solve_with_stats, solve_with_stats_parallel};
-    let mut rng = XorShift64Star::new(0xCAC7_1D07);
-    for _ in 0..CASES / 4 {
-        let cap_shift = rng.next_in_range(16, 21) as u32;
-        let cell = CellTechnology::ALL[rng.next_below(3) as usize];
-        let spec = MemorySpec::builder()
-            .capacity_bytes(1u64 << cap_shift)
-            .block_bytes(64)
-            .associativity(8)
-            .banks(1)
-            .cell_tech(cell)
-            .node(TechNode::N32)
-            .kind(MemoryKind::Cache {
-                access_mode: AccessMode::Normal,
-            })
-            .build()
-            .unwrap();
-        let serial = solve_with_stats(&spec, None);
-        let threads = 1 + rng.next_below(8) as usize;
-        let par = solve_with_stats_parallel(&spec, None, threads);
-        assert_eq!(
-            serial.stats, par.stats,
-            "stats diverge at {threads} threads"
-        );
-        match (serial.result, par.result) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "ordering diverges at {threads} threads"),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("pipelines disagree on feasibility: {a:?} vs {b:?}"),
         }
     }
 }
